@@ -67,7 +67,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		solve        = fs.Duration("solve", 60*time.Second, "per-pair solver timeout")
 		witness      = fs.Bool("witness", false, "include a witness schedule per race")
 		pairPar      = fs.Int("pair-parallel", 0, "solve pairs inside each window with this many workers (deterministic)")
-		triage       = fs.String("triage", "on", "vector-clock triage tier: on, off or cp")
+		triage       = fs.String("triage", "on", "triage ladder rung: on, off, shb, wcp, syncp or cp (results identical at every rung)")
 		maxSessions  = fs.Int("max-sessions", 16, "admission limit on concurrent sessions")
 		maxWindows   = fs.Int("max-windows", 0, "windows in SMT analysis at once across all sessions (0 = GOMAXPROCS)")
 		degradeAfter = fs.Duration("degrade-after", 0, "shed the SMT tier for a window after blocking this long on a solver slot (0 = never degrade)")
@@ -105,14 +105,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Witness:         *witness,
 		PairParallelism: *pairPar,
 	}
-	switch strings.ToLower(*triage) {
+	switch mode := strings.ToLower(*triage); mode {
 	case "on":
+		// default: the full witness-backed ladder (SHB → WCP → SyncP)
 	case "off":
 		detect.NoTriage = true
-	case "cp":
-		detect.TriageCP = true
+	case "shb", "wcp", "syncp", "cp":
+		detect.TriageLevel = mode
 	default:
-		fmt.Fprintf(stderr, "rvpredictd: unknown -triage mode %q (want on, off or cp)\n", *triage)
+		fmt.Fprintf(stderr, "rvpredictd: unknown -triage mode %q (want on, off, shb, wcp, syncp or cp)\n", *triage)
 		return 2
 	}
 
@@ -144,6 +145,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		fmt.Fprintln(stderr, "rvpredictd:", err)
+		d.Close()
 		return 2
 	}
 	// The rendezvous lines: with ":0" the kernel picks the ports, so

@@ -297,6 +297,28 @@ func TestUsageErrors(t *testing.T) {
 	}
 }
 
+// TestTriageFlag: -triage accepts the same rungs, and rejects an unknown
+// one with the same error text, as cmd/rvpredict. A valid rung gets past
+// flag handling and fails only at the deliberately unusable listen
+// address.
+func TestTriageFlag(t *testing.T) {
+	for _, mode := range []string{"on", "off", "shb", "wcp", "syncp", "cp", "SyncP"} {
+		var out, errb strings.Builder
+		args := []string{"-listen", "127.0.0.1:-1", "-state-dir", t.TempDir(), "-triage", mode}
+		if got := run(args, &out, &errb); got != 2 || strings.Contains(errb.String(), "-triage") {
+			t.Errorf("-triage %s: exit %d, stderr %q; want only the listen error", mode, got, errb.String())
+		}
+	}
+	var out, errb strings.Builder
+	if got := run([]string{"-state-dir", t.TempDir(), "-triage", "maybe"}, &out, &errb); got != 2 {
+		t.Errorf("-triage maybe: exit %d, want 2", got)
+	}
+	want := "rvpredictd: unknown -triage mode \"maybe\" (want on, off, shb, wcp, syncp or cp)\n"
+	if errb.String() != want {
+		t.Errorf("-triage maybe: stderr %q, want %q", errb.String(), want)
+	}
+}
+
 // TestVersionFlag: -version prints build info and exits 0.
 func TestVersionFlag(t *testing.T) {
 	var out, errb strings.Builder

@@ -30,7 +30,7 @@
 // collector and/or tracer in Options it reports phase timings, solver
 // counters, candidate-funnel tallies and per-window records. Telemetry
 // never influences detection — the reported race set is identical with it
-// on or off — and the disabled path performs no clock reads.
+// on or off — and the disabled path performs no per-pair clock reads.
 package core
 
 import (
@@ -103,7 +103,12 @@ type Options struct {
 	//	          sync-preserving witness check (internal/wcp)
 	//	"syncp" — plus the sync-preserving witness check on its own
 	//	          (internal/syncp); the default ("" means "syncp")
-	//	"cp"    — plus the opt-in causally-precedes tier (see TriageCP)
+	//	"cp"    — plus the opt-in causally-precedes tier: pairs no
+	//	          witness-backed tier confirms are checked against the CP
+	//	          relation composed with SHB (the paper's CP ⊆ RV
+	//	          inclusion chain). Off by default — the witness-backed
+	//	          tiers are provably exact per pair, while the CP tier
+	//	          inherits the CP soundness theorem's assumptions.
 	//
 	// Every level yields a bit-identical race.Result — the tiers only
 	// decide which pairs skip the solver — so the level is a pure
@@ -111,19 +116,6 @@ type Options struct {
 	// Unrecognised values fall back to the default. Ignored when
 	// NoTriage is set.
 	TriageLevel string
-	// TriageCP enables the full ladder including the causally-precedes
-	// tier (equivalent to TriageLevel "cp", kept for compatibility):
-	// pairs no witness-backed tier confirms are checked against the CP
-	// relation composed with SHB, and concurrent pairs are confirmed
-	// without a solver query (the paper's CP ⊆ RV inclusion chain;
-	// bit-identity is test-enforced across the bundled workloads). Off
-	// by default — the witness-backed tiers are provably exact per pair,
-	// while the CP tier inherits the CP soundness theorem's assumptions.
-	TriageCP bool
-	// MaxAttemptsPerSig bounds how many COPs of one signature are solved
-	// before giving up on that signature (0 = unlimited, the paper's
-	// behaviour).
-	MaxAttemptsPerSig int
 	// MergeRaceVars uses the paper's variable-merging race encoding
 	// (O_a := O_b) instead of the default explicit adjacency
 	// |O_a − O_b| = 1 (ablation knob; merging degenerates the atoms
@@ -133,8 +125,7 @@ type Options struct {
 	// workers. The reported signature set always equals the sequential
 	// run's; which COP instance represents a signature (and COPsChecked)
 	// may vary between runs, because workers share signature verdicts to
-	// skip redundant solving. MaxAttemptsPerSig is enforced per window in
-	// parallel mode.
+	// skip redundant solving.
 	Parallelism int
 	// PairParallelism > 1 solves the candidate pairs *inside* each window
 	// concurrently with that many workers, each owning a replica of the
@@ -192,9 +183,7 @@ type Options struct {
 	// signature verdicts and the telemetry window record — and tallied
 	// as windows_replayed. Outcomes must come from a run over the same
 	// trace with result-affecting options unchanged (the journal's
-	// header fingerprint enforces this). MaxAttemptsPerSig > 0 is not
-	// supported together with ResumeWindows: per-signature attempt
-	// tallies are not part of the journaled outcome.
+	// header fingerprint enforces this).
 	ResumeWindows map[int]race.WindowOutcome
 }
 
@@ -202,28 +191,17 @@ type Options struct {
 type Detector struct {
 	opt Options
 
-	// skipSig/foundSig, when set, share signature verdicts across the
-	// parallel window workers (see detectParallel).
-	skipSig  func(race.Signature) bool
-	foundSig func(race.Signature)
-
-	// winBase and traceOffset localise telemetry when this detector
-	// analyses one slice of a larger trace (parallel mode): winBase is the
-	// global index of the first window, traceOffset the slice's first
-	// event index in the full trace.
-	winBase     int
-	traceOffset int
-
-	// budget is the run-wide worker budget, capacity
+	// budget is the worker budget, capacity
 	// max(Parallelism, PairParallelism, 1): window coordinators
 	// block-acquire a slot, extra pair workers spawn only when a slot is
-	// free (see solveGroups). Created per DetectContext call and shared by
-	// the per-window detector copies.
+	// free (see solveGroups).
 	budget chan struct{}
 }
 
 // New returns a detector with the given options.
-func New(opt Options) *Detector { return &Detector{opt: opt} }
+func New(opt Options) *Detector {
+	return &Detector{opt: opt, budget: make(chan struct{}, max(opt.Parallelism, opt.PairParallelism, 1))}
+}
 
 // Name implements race.Detector.
 func (*Detector) Name() string { return "RV" }
@@ -239,26 +217,75 @@ func (d *Detector) Detect(tr *trace.Trace) race.Result {
 // be stopped mid-solve. The partial Result is always well-formed: it
 // covers every window completed before the cancel and is flagged
 // Cancelled. A nil ctx is treated as context.Background().
+//
+// The batch drivers are loops over AnalyseWindow feeding one Merge in
+// window order. The sequential driver passes the merge's own seen set
+// as the skip hint, so a signature reported by an earlier window is
+// never solved again; with Parallelism > 1 the windows run concurrently
+// and share a best-effort set of the signatures reported so far.
 func (d *Detector) DetectContext(ctx context.Context, tr *trace.Trace) race.Result {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	var globalDeadline time.Time
+	start := time.Now()
+	var deadline time.Time
 	if d.opt.GlobalBudget > 0 {
-		globalDeadline = time.Now().Add(d.opt.GlobalBudget)
+		deadline = start.Add(d.opt.GlobalBudget)
 	}
-	workers := d.opt.Parallelism
-	if d.opt.PairParallelism > workers {
-		workers = d.opt.PairParallelism
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	d.budget = make(chan struct{}, workers)
+	slices := race.WindowSlices(tr, d.opt.WindowSize)
+	m := d.NewMerge()
 	if d.opt.Parallelism > 1 {
-		return d.detectParallel(ctx, globalDeadline, tr)
+		d.analyseParallel(ctx, deadline, slices, m)
+	} else {
+		for i, s := range slices {
+			m.Add(d.AnalyseWindow(ctx, deadline, s.Trace, i, s.Offset, m.Seen, false))
+		}
 	}
-	return d.detectWindows(ctx, globalDeadline, tr)
+	res := m.Result()
+	res.Windows = len(slices)
+	if ctx.Err() != nil {
+		res.Cancelled = true
+	}
+	res.Elapsed = time.Since(start)
+	return res
+}
+
+// analyseParallel analyses the windows on Parallelism workers and merges
+// the outcomes in window order. Once any worker reports a signature,
+// later-starting windows skip its instances: this only suppresses
+// redundant solver calls — the merge still deduplicates
+// deterministically — so the race set is unchanged while COPsChecked may
+// vary run to run.
+func (d *Detector) analyseParallel(ctx context.Context, deadline time.Time, slices []race.WindowSlice, m *Merge) {
+	type result struct {
+		out    race.WindowOutcome
+		status WindowStatus
+	}
+	results := make([]result, len(slices))
+	var found sync.Map
+	skip := func(sig race.Signature) bool {
+		_, ok := found.Load(sig)
+		return ok
+	}
+	sem := make(chan struct{}, d.opt.Parallelism)
+	var wg sync.WaitGroup
+	for i, s := range slices {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			out, status := d.AnalyseWindow(ctx, deadline, s.Trace, i, s.Offset, skip, false)
+			for _, r := range out.Races {
+				found.Store(r.Sig, true)
+			}
+			results[i] = result{out, status}
+		}()
+	}
+	wg.Wait()
+	for _, r := range results {
+		m.Add(r.out, r.status)
+	}
 }
 
 // Retry-policy constants of the two-pass scheduler: each retry multiplies
@@ -330,52 +357,7 @@ func windowFailure(win, offset, events int, r any) race.WindowFailure {
 	}
 }
 
-// detectWindows is the window-sequential detection driver: one window at a
-// time, pairs scheduled per window by the pair scheduler (pairsched.go),
-// each window isolated against worker panics.
-func (d *Detector) detectWindows(ctx context.Context, globalDeadline time.Time, tr *trace.Trace) race.Result {
-	start := time.Now()
-	run := d.newWindowRun()
-	localWin := 0
-	run.res.Windows = race.Windows(tr, d.opt.WindowSize, func(w *trace.Trace, offset int) {
-		widx := d.winBase + localWin
-		localWin++
-		run.analyze(ctx, globalDeadline, w, widx, offset, false)
-	})
-	if ctx.Err() != nil {
-		run.res.Cancelled = true
-	}
-	run.res.Elapsed = time.Since(start)
-	return run.res
-}
-
-// windowRun threads the sequential driver's cross-window state: the
-// accumulated result plus the signature seen/attempt maps that make later
-// windows' partitions depend on earlier verdicts. detectWindows drives it
-// over race.Windows; the streaming session layer (internal/stream) drives
-// it one externally-materialised window at a time through WindowRunner.
-type windowRun struct {
-	d        *Detector
-	res      race.Result
-	seen     map[race.Signature]bool
-	attempts map[race.Signature]int
-	// timed forces per-window wall-clock measurement (and outcome
-	// construction) even without telemetry or a completion hook — the
-	// streaming runner consumes the outcome directly. The batch driver
-	// leaves it false so an untelemetered run still performs no clock
-	// reads.
-	timed bool
-}
-
-func (d *Detector) newWindowRun() *windowRun {
-	return &windowRun{
-		d:        d,
-		seen:     make(map[race.Signature]bool),
-		attempts: make(map[race.Signature]int),
-	}
-}
-
-// WindowStatus classifies how analyze disposed of one window.
+// WindowStatus classifies how AnalyseWindow disposed of one window.
 type WindowStatus int
 
 const (
@@ -384,7 +366,8 @@ const (
 	// delivered to OnWindowDone.
 	WindowAnalyzed WindowStatus = iota
 	// WindowReplayed: the window's journaled outcome from ResumeWindows
-	// was merged without re-analysis (and without re-firing the hook).
+	// is returned without re-analysis (and without re-firing the hook);
+	// Merge emits its replay telemetry.
 	WindowReplayed
 	// WindowCut: the window was cut short by cancellation or the global
 	// budget; the partial outcome is not a final verdict and must not be
@@ -392,58 +375,64 @@ const (
 	WindowCut
 )
 
-// analyze runs one window to a verdict and merges it into the
-// accumulated result — the body of the sequential detection loop. With
-// degraded set, the SMT tier is shed: only pairs the sound vector-clock
-// triage tier already confirmed are reported (flagged Degraded in
-// provenance and in the outcome), unconfirmed pairs are shed and counted
-// in PairsShed, and no solver query is issued — the verdict stays sound
-// but is no longer maximal.
-func (wr *windowRun) analyze(ctx context.Context, globalDeadline time.Time, w *trace.Trace, widx, offset int, degraded bool) (out race.WindowOutcome, status WindowStatus) {
-	d := wr.d
+// AnalyseWindow runs one window to a verdict: the single per-window entry
+// point every driver loops over. w holds the window's events in
+// window-local indices and offset is the whole-trace index of its first
+// event; the outcome's races, witnesses and failures are in whole-trace
+// coordinates. deadline (the zero time means unbounded) and ctx can cut
+// the window short.
+//
+// skip, when non-nil, reports signatures of races merged from earlier
+// windows: their instances are not analysed. The sequential drivers pass
+// Merge.Seen; Parallelism passes a best-effort set shared by its
+// workers; the reader, shard and fleet drivers pass nil, so a window's
+// verdict depends only on its own content and any assignment of windows
+// to processes merges to the same report. skip must be safe for
+// concurrent calls when PairParallelism > 1.
+//
+// With degraded set, the SMT tier is shed: only pairs the sound triage
+// ladder already confirmed are reported (flagged Degraded in provenance
+// and in the outcome), unconfirmed pairs are shed and counted in
+// PairsShed, and no solver query is issued — the verdict stays sound but
+// is no longer maximal.
+func (d *Detector) AnalyseWindow(ctx context.Context, deadline time.Time, w *trace.Trace, widx, offset int,
+	skip func(race.Signature) bool, degraded bool) (out race.WindowOutcome, status WindowStatus) {
+	// Resume: a journaled window's outcome is returned without
+	// re-analysis, before the cancellation and budget gates — replay is
+	// free and its results are already durable, so even a run
+	// interrupted immediately still reflects them.
+	if prev, ok := d.opt.ResumeWindows[widx]; ok {
+		return prev, WindowReplayed
+	}
+	out = race.WindowOutcome{Window: widx, Offset: offset, Events: w.Len(), Degraded: degraded}
+	if ctx.Err() != nil {
+		out.Cancelled = true
+		return out, WindowCut
+	}
+	if !deadline.IsZero() && time.Now().After(deadline) {
+		out.BudgetExhausted = true
+		return out, WindowCut
+	}
 	col := d.opt.Telemetry
 	tracer := d.opt.Tracer
 	hook := d.opt.OnWindowDone
-	instrumented := col != nil || tracer != nil || hook != nil || wr.timed
-	res := &wr.res
-	seen, attempts := wr.seen, wr.attempts
-	cancel := func() bool { return ctx.Err() != nil }
-	// Resume: a journaled window's outcome is merged without
-	// re-analysis, before the cancellation and budget gates — replay
-	// is free and its results are already durable, so even a run
-	// interrupted immediately still reflects them.
-	if prev, ok := d.opt.ResumeWindows[widx]; ok {
-		d.replayWindow(res, prev, seen)
-		return prev, WindowReplayed
-	}
-	if ctx.Err() != nil {
-		res.Cancelled = true
-		return out, WindowCut
-	}
-	if !globalDeadline.IsZero() && time.Now().After(globalDeadline) {
-		res.BudgetExhausted = true
-		return out, WindowCut
-	}
-	status = WindowCut
-	// Panic isolation: an encoder or solver bug in this window — on
-	// the coordinator or on any pair worker — is recovered here,
-	// recorded as a WindowFailure, and the run continues with every
-	// other window's results intact. The failed window contributes no
-	// results: its races merge only after the scheduler completes, so
-	// the drop is all-or-nothing and deterministic. The failure is
-	// itself a final, durable verdict — the completion hook records
-	// it so a resumed run reproduces this run's report exactly
-	// instead of silently retrying the window.
+	// Panic isolation: an encoder or solver bug in this window — on the
+	// coordinator or on any pair worker — is recovered here and recorded
+	// as a WindowFailure; the run continues with every other window's
+	// results intact. The failed window contributes no results: its
+	// races join the outcome only after the scheduler completes, so the
+	// drop is all-or-nothing and deterministic. The failure is itself a
+	// final, durable verdict — the completion hook records it so a
+	// resumed run reproduces this run's report exactly instead of
+	// silently retrying the window.
 	defer func() {
 		if r := recover(); r != nil {
-			f := windowFailure(widx, d.traceOffset+offset, w.Len(), r)
-			res.Failures = append(res.Failures, f)
 			col.CountWindowFailure()
 			out = race.WindowOutcome{
 				Window:   widx,
-				Offset:   d.traceOffset + offset,
+				Offset:   offset,
 				Events:   w.Len(),
-				Failures: []race.WindowFailure{f},
+				Failures: []race.WindowFailure{windowFailure(widx, offset, w.Len(), r)},
 			}
 			status = WindowAnalyzed
 			if hook != nil {
@@ -452,10 +441,9 @@ func (wr *windowRun) analyze(ctx context.Context, globalDeadline time.Time, w *t
 		}
 	}()
 	d.fireFault(faultinject.PointWindow, widx)
-	// Live gauge + timeline span for the window. The deferred closes
-	// run before the panic-isolation recover above (LIFO), so a
-	// failed window still leaves the gauge balanced and its span on
-	// the timeline.
+	// Live gauge + timeline span for the window. The deferred closes run
+	// before the panic-isolation recover above (LIFO), so a failed window
+	// still leaves the gauge balanced and its span on the timeline.
 	col.CountWindowStarted()
 	defer col.CountWindowFinished()
 	lane := telemetry.WindowLane(widx)
@@ -464,14 +452,7 @@ func (wr *windowRun) analyze(ctx context.Context, globalDeadline time.Time, w *t
 	if tracer != nil {
 		tracer.WindowStart(widx, w.Len())
 	}
-	var wstart time.Time
-	if instrumented {
-		wstart = time.Now()
-	}
-	racesBefore := len(res.Races)
-	solved := 0
-	wChecked, wAborts, wRetried, wShed := 0, 0, 0, 0
-	final := true // no cancellation/budget cut — the outcome is replayable
+	wstart := time.Now()
 
 	span := col.StartPhase(telemetry.PhaseEnumerate)
 	esp := col.BeginSpan("enumerate", lane, wspan.ID())
@@ -479,54 +460,48 @@ func (wr *windowRun) analyze(ctx context.Context, globalDeadline time.Time, w *t
 	esp.End()
 	span.End()
 	col.CountEnumerated(len(cops))
+	out.Candidates = len(cops)
 
-	// Prefilters and signature grouping run up front; the pair
-	// scheduler then solves the groups (in parallel when
-	// PairParallelism > 1) and the results merge below in canonical
-	// group order, so the window's contribution is deterministic.
+	// Prefilters and signature grouping run up front; the pair scheduler
+	// then solves the groups (in parallel when PairParallelism > 1) and
+	// the results join the outcome below in canonical group order, so the
+	// window's contribution is deterministic.
 	psp := col.BeginSpan("mhb+triage", lane, wspan.ID())
-	groups, mhb := d.partition(w, cops, seen, attempts)
+	groups, mhb := d.partition(w, cops, skip)
 	psp.End()
 	col.CountPairGroups(len(groups))
+	// Provenance attribution is lazy: only windows that report a race
+	// pay for the attributor's clock passes.
+	var att *attributor
+	report := func(r race.Race) {
+		if att == nil {
+			att = newAttributor(w)
+		}
+		att.stamp(&r, widx, offset)
+		out.Races = append(out.Races, r)
+	}
 	switch {
 	case len(groups) > 0 && ctx.Err() == nil && degraded:
 		// Graceful degradation: no solver is constructed and no query
-		// issued. Each group's first triage-confirmed instance is
-		// reported exactly as the fast path would have (same COP, same
-		// canonical order, no witness), the rest of the group is shed.
-		// Confirmations are sound, so a degraded window never reports a
-		// false race — it may only miss SMT-only ones.
-		var att *attributor
+		// issued. Each group's first triage-confirmed instance is reported
+		// exactly as the fast path would have (same COP, same canonical
+		// order, no witness), the rest of the group is shed. Confirmations
+		// are sound, so a degraded window never reports a false race — it
+		// may only miss SMT-only ones.
 		for _, g := range groups {
 			reported := false
-			for k := range g.cops {
-				if !reported && g.confirmed != nil && g.confirmed[k] &&
-					(d.skipSig == nil || !d.skipSig(g.sig)) {
-					reported = true
-					seen[g.sig] = true
-					if d.foundSig != nil {
-						d.foundSig(g.sig)
-					}
-					res.COPsChecked++
-					solved++
-					wChecked++
-					r := race.Race{
-						COP: race.COP{A: g.cops[k].A + offset, B: g.cops[k].B + offset},
-						Sig: g.sig,
-					}
-					if att == nil {
-						att = newAttributor(w)
-					}
-					att.stamp(&r, widx, offset)
-					r.Prov.Degraded = true
-					res.Races = append(res.Races, r)
-				} else {
-					wShed++
+			for k, cop := range g.cops {
+				if reported || g.confirmed == nil || !g.confirmed[k] || (skip != nil && skip(g.sig)) {
+					out.PairsShed++
+					continue
 				}
+				reported = true
+				out.COPsChecked++
+				out.Solved++
+				r := race.Race{COP: race.COP{A: cop.A + offset, B: cop.B + offset}, Sig: g.sig}
+				r.Prov.Degraded = true
+				report(r)
 			}
-		}
-		if att != nil {
-			att.release()
 		}
 	case len(groups) > 0 && ctx.Err() == nil:
 		if mhb == nil {
@@ -540,49 +515,26 @@ func (wr *windowRun) analyze(ctx context.Context, globalDeadline time.Time, w *t
 		}
 		wc := &windowCtx{
 			ctx: ctx, w: w, mhb: mhb, widx: widx, offset: offset,
-			globalDeadline: globalDeadline, cancel: cancel,
-			spanParent: wspan.ID(),
+			deadline: deadline, cancel: func() bool { return ctx.Err() != nil },
+			skip: skip, spanParent: wspan.ID(),
 		}
-		// Provenance attribution is lazy: only windows that report a
-		// race pay for the attributor's clock passes.
-		var att *attributor
-		for i, gr := range d.solveGroups(wc, groups) {
+		for _, gr := range d.solveGroups(wc, groups) {
 			if gr == nil {
 				continue
 			}
-			g := groups[i]
-			res.COPsChecked += gr.solved
-			solved += gr.solved
-			wChecked += gr.solved
-			res.SolverAborts += gr.aborts
-			wAborts += gr.aborts
-			res.PairsRetried += gr.retried
-			wRetried += gr.retried
-			attempts[g.sig] = gr.attempts
-			if gr.cancelled {
-				res.Cancelled = true
-				final = false
-			}
-			if gr.budgetGone {
-				res.BudgetExhausted = true
-				final = false
-			}
+			out.COPsChecked += gr.solved
+			out.Solved += gr.solved
+			out.SolverAborts += gr.aborts
+			out.PairsRetried += gr.retried
+			out.Cancelled = out.Cancelled || gr.cancelled
+			out.BudgetExhausted = out.BudgetExhausted || gr.budgetGone
 			if gr.isRace {
-				seen[g.sig] = true
-				if d.foundSig != nil {
-					d.foundSig(g.sig)
-				}
-				r := gr.race
-				if att == nil {
-					att = newAttributor(w)
-				}
-				att.stamp(&r, widx, offset)
-				res.Races = append(res.Races, r)
+				report(gr.race)
 			}
 		}
-		if att != nil {
-			att.release()
-		}
+	}
+	if att != nil {
+		att.release()
 	}
 	if mhb != nil {
 		// Clean window completion: return the clock slab to the shared
@@ -591,312 +543,109 @@ func (wr *windowRun) analyze(ctx context.Context, globalDeadline time.Time, w *t
 		mhb.Release()
 	}
 	if ctx.Err() != nil {
-		res.Cancelled = true
-		final = false
+		out.Cancelled = true
 	}
-	// Counted per completed degraded window — candidates or not — so the
-	// gauge always agrees with Report.DegradedWindows.
-	if degraded && final {
+	status = WindowAnalyzed
+	if out.Cancelled || out.BudgetExhausted {
+		status = WindowCut
+	} else if degraded {
+		// Counted per completed degraded window — candidates or not — so
+		// the gauge always agrees with Report.DegradedWindows.
 		col.CountDegradedWindow()
 	}
-
-	if col != nil {
-		col.WindowDone(telemetry.WindowRecord{
-			Offset:     d.traceOffset + offset,
-			Events:     w.Len(),
-			Candidates: len(cops),
-			Solved:     solved,
-			Findings:   len(res.Races) - racesBefore,
-			ElapsedNS:  int64(time.Since(wstart)),
-		})
-	}
-	if tracer != nil {
-		tracer.WindowDone(widx, len(res.Races)-racesBefore, time.Since(wstart))
-	}
-	if final {
-		status = WindowAnalyzed
-	}
-	if (hook != nil || wr.timed) && final {
-		out = race.WindowOutcome{
-			Window:       widx,
-			Offset:       d.traceOffset + offset,
-			Events:       w.Len(),
-			Candidates:   len(cops),
-			Solved:       solved,
-			COPsChecked:  wChecked,
-			SolverAborts: wAborts,
-			PairsRetried: wRetried,
-			ElapsedNS:    int64(time.Since(wstart)),
-			Degraded:     degraded,
-			PairsShed:    wShed,
-		}
-		if n := len(res.Races) - racesBefore; n > 0 {
-			// The hook contract is whole-trace coordinates; rebase a
-			// parallel slice's races (copies — res keeps its own).
-			out.Races = make([]race.Race, n)
-			copy(out.Races, res.Races[racesBefore:])
-			if d.traceOffset != 0 {
-				for i := range out.Races {
-					out.Races[i].A += d.traceOffset
-					out.Races[i].B += d.traceOffset
-					if out.Races[i].Witness != nil {
-						out.Races[i].Witness = rebase(out.Races[i].Witness, d.traceOffset)
-					}
-				}
-			}
-		}
-		if hook != nil {
-			hook(out)
-		}
-	}
-	return out, status
-}
-
-// WindowRunner drives the sequential detection pipeline over
-// externally-materialised windows — the streaming session layer's entry
-// point into the detector (internal/stream). It preserves detectWindows'
-// exact cross-window semantics: windows must be supplied in trace order
-// with consecutive indices, and the signature seen/attempt state threads
-// across calls, so the accumulated Result — and every per-window
-// outcome — is bit-identical to a batch run over the concatenated trace.
-// Not safe for concurrent use.
-type WindowRunner struct {
-	d       *Detector
-	run     *windowRun
-	start   time.Time
-	windows int
-}
-
-// NewWindowRunner returns a runner with the given options. Parallelism
-// is ignored (windows arrive one at a time); PairParallelism applies
-// within each window as in batch mode.
-func NewWindowRunner(opt Options) *WindowRunner {
-	d := New(opt)
-	workers := opt.PairParallelism
-	if workers < 1 {
-		workers = 1
-	}
-	d.budget = make(chan struct{}, workers)
-	run := d.newWindowRun()
-	run.timed = true
-	return &WindowRunner{d: d, run: run, start: time.Now()}
-}
-
-// RunWindow analyses one window whose first event sits at the given
-// whole-trace offset. Outcomes are returned in whole-trace coordinates
-// for every status: fresh verdicts (WindowAnalyzed, also delivered to
-// OnWindowDone), journal replays (WindowReplayed, the journaled outcome,
-// hook not re-fired) and cancellation cuts (WindowCut, partial, must not
-// be persisted). With degraded set the SMT tier is shed — see
-// windowRun.analyze.
-func (r *WindowRunner) RunWindow(ctx context.Context, w *trace.Trace, widx, offset int, degraded bool) (race.WindowOutcome, WindowStatus) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	r.windows++
-	return r.run.analyze(ctx, time.Time{}, w, widx, offset, degraded)
-}
-
-// Result finalises and returns the result accumulated so far: the
-// canonical merge of every window passed to RunWindow, exactly as
-// DetectContext would have produced over the whole trace.
-func (r *WindowRunner) Result() race.Result {
-	res := r.run.res
-	res.Windows = r.windows
-	res.Elapsed = time.Since(r.start)
-	if len(res.Races) > 0 {
-		res.Races = append([]race.Race(nil), res.Races...)
-	}
-	return res
-}
-
-// NewWindowDetector returns a detector prepared for DetectWindow calls:
-// the out-of-core driver's entry point (rvpredict's sharded reader
-// path). Parallelism is ignored — windows arrive one at a time from the
-// sequential chunk reader; PairParallelism applies within each window
-// as in batch mode.
-func NewWindowDetector(opt Options) *Detector {
-	d := New(opt)
-	workers := opt.PairParallelism
-	if workers < 1 {
-		workers = 1
-	}
-	d.budget = make(chan struct{}, workers)
-	return d
-}
-
-// DetectWindow analyses one window in isolation: unlike WindowRunner,
-// every call gets fresh per-window signature state, so the verdict
-// depends only on the window's own content — never on which other
-// windows this process happened to analyse. That independence is what
-// makes the deterministic widx-mod-N shard partition mergeable: any
-// assignment of windows to processes yields the same per-window
-// outcomes, and a signature-deduplicating merge in window order
-// reconstructs one canonical report. Races, witnesses and failures in
-// both the outcome and the result are in whole-trace coordinates
-// (window-local indices plus offset).
-//
-// ResumeWindows replay, OnWindowDone delivery, telemetry and panic
-// isolation all behave as in the sequential driver; globalDeadline (the
-// zero time means unbounded) and ctx can cut the window short, in which
-// case the partial result is flagged and the outcome must not be
-// persisted (WindowCut).
-func (d *Detector) DetectWindow(ctx context.Context, globalDeadline time.Time, w *trace.Trace, widx, offset int) (race.WindowOutcome, WindowStatus, race.Result) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	run := d.newWindowRun()
-	run.timed = true
-	out, status := run.analyze(ctx, globalDeadline, w, widx, offset, false)
-	return out, status, run.res
-}
-
-// replayWindow merges one journaled outcome as if the window had just
-// completed its analysis: races enter the result in their original
-// detection order with their signatures marked seen (and shared with
-// parallel workers via foundSig), failures and counter deltas are
-// re-applied, and telemetry records the window as replayed. No solver
-// query is issued.
-func (d *Detector) replayWindow(res *race.Result, out race.WindowOutcome, seen map[race.Signature]bool) {
-	col := d.opt.Telemetry
-	tracer := d.opt.Tracer
-	if tracer != nil {
-		tracer.WindowStart(out.Window, out.Events)
-	}
-	res.COPsChecked += out.COPsChecked
-	res.SolverAborts += out.SolverAborts
-	res.PairsRetried += out.PairsRetried
-	for _, r := range out.Races {
-		// Journaled races are in whole-trace coordinates; the in-flight
-		// result of a parallel slice uses slice-local ones (the parallel
-		// merge re-adds the slice offset).
-		if d.traceOffset != 0 {
-			r.A -= d.traceOffset
-			r.B -= d.traceOffset
-			if r.Witness != nil {
-				r.Witness = rebase(r.Witness, -d.traceOffset)
-			}
-		}
-		// Provenance travels with the journaled race; only the replay
-		// origin is this run's own fact.
-		r.Prov.Replayed = true
-		seen[r.Sig] = true
-		if d.foundSig != nil {
-			d.foundSig(r.Sig)
-		}
-		res.Races = append(res.Races, r)
-	}
-	// Failures are journaled — and merged — in whole-trace coordinates in
-	// both modes, so they append unchanged.
-	for range out.Failures {
-		col.CountWindowFailure()
-	}
-	res.Failures = append(res.Failures, out.Failures...)
-	col.CountWindowReplayed()
+	elapsed := time.Since(wstart)
+	out.ElapsedNS = int64(elapsed)
 	col.WindowDone(telemetry.WindowRecord{
-		Offset:     out.Offset,
-		Events:     out.Events,
-		Candidates: out.Candidates,
+		Offset:     offset,
+		Events:     w.Len(),
+		Candidates: len(cops),
 		Solved:     out.Solved,
 		Findings:   len(out.Races),
 		ElapsedNS:  out.ElapsedNS,
 	})
 	if tracer != nil {
-		tracer.WindowDone(out.Window, len(out.Races), time.Duration(out.ElapsedNS))
+		tracer.WindowDone(widx, len(out.Races), elapsed)
 	}
+	if status == WindowAnalyzed && hook != nil {
+		hook(out)
+	}
+	return out, status
 }
 
-// detectParallel fans the windows out over Parallelism workers. Each
-// window is detected independently (its own solver, quick check and
-// per-window signature budget); the per-window results are merged in
-// window order with cross-window signature deduplication, so the final
-// report is deterministic and equals the sequential report up to which
-// COP instance represents a signature.
-func (d *Detector) detectParallel(ctx context.Context, globalDeadline time.Time, tr *trace.Trace) race.Result {
-	start := time.Now()
-	slices := race.WindowSlices(tr, d.opt.WindowSize)
-	perWindow := make([]race.Result, len(slices))
+// Merge folds window outcomes, in window order, into one race.Result —
+// the single merge behind every driver: the batch loops, the out-of-core
+// reader, shard journals, the streaming session and (through
+// MergeShards) the fleet. It sums the counters, deduplicates races by
+// signature, earliest window first, and for journal replays emits the
+// telemetry and Tracer callbacks a live analysis would have. Windows and
+// Elapsed are the driver's to fill in. Not safe for concurrent use.
+type Merge struct {
+	col    *telemetry.Collector
+	tracer telemetry.Tracer
+	res    race.Result
+	seen   map[race.Signature]bool
+}
 
-	// Best-effort cross-window deduplication: once any worker proves a
-	// signature racy, other workers skip further instances. This only
-	// suppresses redundant solver calls — the final merge below still
-	// deduplicates deterministically — so the race set is unchanged while
-	// COPsChecked may vary run to run.
-	var sharedSeen sync.Map
+// NewMerge returns an empty merge reporting to the detector's telemetry
+// and tracer.
+func (d *Detector) NewMerge() *Merge {
+	return &Merge{col: d.opt.Telemetry, tracer: d.opt.Tracer, seen: make(map[race.Signature]bool)}
+}
 
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, d.opt.Parallelism)
-	single := *d
-	single.opt.Parallelism = 0
-	single.opt.WindowSize = 0 // each slice is exactly one window
-	single.opt.GlobalBudget = 0
-	single.skipSig = func(sig race.Signature) bool {
-		_, ok := sharedSeen.Load(sig)
-		return ok
-	}
-	single.foundSig = func(sig race.Signature) {
-		sharedSeen.Store(sig, true)
-	}
-	for i := range slices {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			// Defence in depth: detectWindows isolates per-window panics
-			// itself, but a panic escaping it (e.g. from the windowing
-			// driver) must never kill the whole process when workers run
-			// as bare goroutines. Recover here records the failure with
-			// the window's global coordinates and lets the merge proceed.
-			defer func() {
-				if r := recover(); r != nil {
-					perWindow[i].Failures = append(perWindow[i].Failures,
-						windowFailure(i, slices[i].Offset, slices[i].Trace.Len(), r))
-					d.opt.Telemetry.CountWindowFailure()
-				}
-			}()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			// A per-goroutine copy carries the window's global index and
-			// offset so telemetry records and tracer callbacks stay in
-			// whole-trace coordinates. The shared collector is atomic.
-			// The global deadline is passed through directly: the budget
-			// is one wall-clock window shared by all workers.
-			worker := single
-			worker.winBase = i
-			worker.traceOffset = slices[i].Offset
-			perWindow[i] = worker.detectWindows(ctx, globalDeadline, slices[i].Trace)
-		}(i)
-	}
-	wg.Wait()
+// Seen reports whether a race of signature sig has been merged: the skip
+// hint of the sequential drivers.
+func (m *Merge) Seen(sig race.Signature) bool { return m.seen[sig] }
 
-	res := race.Result{Windows: len(slices)}
-	seen := make(map[race.Signature]bool)
-	for i, wres := range perWindow {
-		offset := slices[i].Offset
-		res.COPsChecked += wres.COPsChecked
-		res.SolverAborts += wres.SolverAborts
-		res.PairsRetried += wres.PairsRetried
-		res.Cancelled = res.Cancelled || wres.Cancelled
-		res.BudgetExhausted = res.BudgetExhausted || wres.BudgetExhausted
-		res.Failures = append(res.Failures, wres.Failures...)
-		for _, r := range wres.Races {
-			if seen[r.Sig] {
-				continue
-			}
-			seen[r.Sig] = true
-			r.A += offset
-			r.B += offset
-			if r.Witness != nil {
-				r.Witness = rebase(r.Witness, offset)
-			}
-			res.Races = append(res.Races, r)
+// Add merges the next window's outcome and returns the races it
+// contributed, Replayed set on those of a journal replay. A WindowCut
+// outcome merges its partial races and flags the result interrupted.
+func (m *Merge) Add(out race.WindowOutcome, status WindowStatus) []race.Race {
+	replayed := status == WindowReplayed
+	if replayed && m.tracer != nil {
+		m.tracer.WindowStart(out.Window, out.Events)
+	}
+	res := &m.res
+	res.COPsChecked += out.COPsChecked
+	res.SolverAborts += out.SolverAborts
+	res.PairsRetried += out.PairsRetried
+	res.Cancelled = res.Cancelled || out.Cancelled
+	res.BudgetExhausted = res.BudgetExhausted || out.BudgetExhausted
+	first := len(res.Races)
+	for _, r := range out.Races {
+		if m.seen[r.Sig] {
+			continue
+		}
+		m.seen[r.Sig] = true
+		if replayed {
+			// Provenance travels with the journaled race; only the replay
+			// origin is this run's own fact.
+			r.Prov.Replayed = true
+		}
+		res.Races = append(res.Races, r)
+	}
+	res.Failures = append(res.Failures, out.Failures...)
+	if replayed {
+		for range out.Failures {
+			m.col.CountWindowFailure()
+		}
+		m.col.CountWindowReplayed()
+		m.col.WindowDone(telemetry.WindowRecord{
+			Offset:     out.Offset,
+			Events:     out.Events,
+			Candidates: out.Candidates,
+			Solved:     out.Solved,
+			Findings:   len(out.Races),
+			ElapsedNS:  out.ElapsedNS,
+		})
+		if m.tracer != nil {
+			m.tracer.WindowDone(out.Window, len(out.Races), time.Duration(out.ElapsedNS))
 		}
 	}
-	if ctx.Err() != nil {
-		res.Cancelled = true
-	}
-	res.Elapsed = time.Since(start)
-	return res
+	return res.Races[first:]
 }
+
+// Result returns the result merged so far.
+func (m *Merge) Result() race.Result { return m.res }
 
 // windowSolver is the long-lived solver of one analysis window: Φ_mhb and
 // Φ_lock are asserted once, cf(e) definitions are memoised across queries,

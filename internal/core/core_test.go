@@ -243,36 +243,6 @@ func TestSignatureDedup(t *testing.T) {
 	}
 }
 
-func TestMaxAttemptsPerSig(t *testing.T) {
-	// With attempts capped at 1 and the first COP of the signature
-	// unsatisfiable, the signature is abandoned.
-	// The first enumerated COP of the signature must pass the quick check
-	// (so it consumes an attempt) but be unsatisfiable; a Figure-2-style
-	// control dependence provides that. A later COP of the same signature
-	// is a plain race.
-	b := trace.NewBuilder()
-	const x, y trace.Addr = 10, 11
-	b.At(1).Write(1, x, 1)
-	b.At(9).Write(1, y, 1)
-	b.At(8).ReadV(2, y, 1) // t2 must see y == 1 …
-	b.At(8).Branch(2)      // … because this branch depends on it,
-	b.At(2).ReadV(2, x, 1) // making COP(0,4) infeasible (w y, r y between).
-	b.At(1).Write(1, x, 2) // same locations again:
-	b.At(2).ReadV(3, x, 2) // COP(5,6) and COP(0,6) race freely.
-	tr := b.Trace()
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	capped := detect(t, tr, Options{MaxAttemptsPerSig: 1})
-	uncapped := detect(t, tr, Options{})
-	if !sigs(uncapped)[sig(1, 2)] {
-		t.Fatalf("uncapped should find the (1,2) race, got %v", uncapped.Races)
-	}
-	if sigs(capped)[sig(1, 2)] {
-		t.Fatalf("capped at 1 attempt should give up on signature (1,2), got %v", capped.Races)
-	}
-}
-
 func TestWitnessesAlwaysValid(t *testing.T) {
 	for _, tr := range []*trace.Trace{
 		fixtures.Figure1(), fixtures.Figure2(false),

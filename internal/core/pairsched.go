@@ -1,7 +1,7 @@
 // Pair scheduler: intra-window parallel COP solving with replicated
 // window solvers and deterministic merging.
 //
-// The window driver (detectWindows) used to solve every candidate pair
+// The window analysis (AnalyseWindow) used to solve every candidate pair
 // sequentially on one shared windowSolver, so a trace producing one big
 // window got zero speedup from extra cores. This file fans the pairs of a
 // window out over Options.PairParallelism workers while keeping the result
@@ -51,8 +51,8 @@ import (
 )
 
 // sigGroup is the pair scheduler's unit of work: every COP instance of one
-// signature in one window that survived the seen-set, attempt-budget and
-// lockset quick-check prefilters, in enumeration order.
+// signature in one window that survived the skip hint and the lockset
+// quick-check prefilters, in enumeration order.
 type sigGroup struct {
 	sig  race.Signature
 	cops []race.COP
@@ -60,23 +60,6 @@ type sigGroup struct {
 	// cops: true means the instance is a sound vector-clock-confirmed race
 	// whose solve may be skipped (triage.go). Nil when the tier is off.
 	confirmed []bool
-	// baseAttempts is attempts[sig] at partition time; the group enforces
-	// MaxAttemptsPerSig against baseAttempts + its own attempts.
-	baseAttempts int
-}
-
-// warmCount is how many instances of the group can ever be prepared on a
-// window solver — the control-flow definitions of exactly these instances
-// must be encoded before the checkpoint, so no prepared instance ever
-// references encoder state that a rollback would discard.
-func (d *Detector) warmCount(g *sigGroup) int {
-	n := len(g.cops)
-	if d.opt.MaxAttemptsPerSig > 0 {
-		if rem := d.opt.MaxAttemptsPerSig - g.baseAttempts; rem < n {
-			n = rem
-		}
-	}
-	return n
 }
 
 // groupResult is one signature group's contribution to the window result,
@@ -84,43 +67,42 @@ func (d *Detector) warmCount(g *sigGroup) int {
 type groupResult struct {
 	solved     int // pass-1 solve attempts (COPsChecked, WindowRecord.Solved)
 	aborts     int // solver aborts that were not retried
-	attempts   int // final attempts[sig] value
 	retried    int // pairs deferred to the second pass
 	cancelled  bool
 	budgetGone bool
 	isRace     bool
-	race       race.Race  // window-local coordinates, set when isRace
+	race       race.Race  // whole-trace coordinates, set when isRace
 	deferred   []race.COP // pass-1 timeouts awaiting the escalating pass
 }
 
 // windowCtx bundles the per-window invariants threaded through the
 // scheduler.
 type windowCtx struct {
-	ctx            context.Context
-	w              *trace.Trace
-	mhb            *vc.MHB
-	widx           int // global window index (tracer, fault injection)
-	offset         int // window offset inside the analysed trace
-	globalDeadline time.Time
-	cancel         func() bool
-	spanParent     uint64 // window span ID, parent of worker/group spans
+	ctx        context.Context
+	w          *trace.Trace
+	mhb        *vc.MHB
+	widx       int // window index (tracer, fault injection)
+	offset     int // whole-trace index of the window's first event
+	deadline   time.Time
+	cancel     func() bool
+	skip       func(race.Signature) bool // AnalyseWindow's skip hint
+	spanParent uint64                    // window span ID, parent of worker/group spans
 }
 
 // partition runs the prefilters over the enumerated COPs and groups the
 // survivors by signature, in order of each signature's first surviving
-// instance. seen and attempts are stable for the whole window (they are
-// only updated at merge time), so the partition is deterministic. The
-// window MHB clocks and the lockset quick check are computed lazily, on
-// the first instance that survives the cheap map lookups — preserving the
-// old driver's property that a window whose candidates are all already
-// decided costs no clock pass — and the single MHB pass is shared by the
+// instance. The sequential drivers' skip hint is stable for the whole
+// window (Merge updates it between windows), so the partition is
+// deterministic. The window MHB clocks and the lockset quick check are
+// computed lazily, on the first instance that survives the cheap skip
+// lookups — so a window whose candidates are all already decided costs
+// no clock pass — and the single MHB pass is shared by the
 // quick check, the triage tier and (via the returned value) the window
 // encoders, where the old driver paid for it twice. Survivors are
 // classified by the triage tier (triage.go) at partition time, in
 // canonical enumeration order, so the tier's telemetry tallies are
 // deterministic under any worker count.
-func (d *Detector) partition(w *trace.Trace, cops []race.COP,
-	seen map[race.Signature]bool, attempts map[race.Signature]int) ([]*sigGroup, *vc.MHB) {
+func (d *Detector) partition(w *trace.Trace, cops []race.COP, skip func(race.Signature) bool) ([]*sigGroup, *vc.MHB) {
 	col := d.opt.Telemetry
 	var (
 		groups []*sigGroup
@@ -132,11 +114,7 @@ func (d *Detector) partition(w *trace.Trace, cops []race.COP,
 	)
 	for _, cop := range cops {
 		sig := race.SigOf(w, cop.A, cop.B)
-		if seen[sig] {
-			col.CountSigDedup()
-			continue
-		}
-		if d.opt.MaxAttemptsPerSig > 0 && attempts[sig] >= d.opt.MaxAttemptsPerSig {
+		if skip != nil && skip(sig) {
 			col.CountSigDedup()
 			continue
 		}
@@ -174,7 +152,7 @@ func (d *Detector) partition(w *trace.Trace, cops []race.COP,
 			}
 			gi = len(groups)
 			index[sig] = gi
-			groups = append(groups, &sigGroup{sig: sig, baseAttempts: attempts[sig]})
+			groups = append(groups, &sigGroup{sig: sig})
 		}
 		groups[gi].cops = append(groups[gi].cops, cop)
 		if tri != nil {
@@ -198,7 +176,7 @@ func (d *Detector) buildReplica(wc *windowCtx, groups []*sigGroup) *windowSolver
 	if !ws.bad {
 		span := d.opt.Telemetry.StartPhase(telemetry.PhaseEncode)
 		for _, g := range groups {
-			for _, cop := range g.cops[:d.warmCount(g)] {
+			for _, cop := range g.cops {
 				ws.cf.ControlFlow(cop.A)
 				ws.cf.ControlFlow(cop.B)
 			}
@@ -215,17 +193,11 @@ func (d *Detector) buildReplica(wc *windowCtx, groups []*sigGroup) *windowSolver
 // block-acquire (the cap is ≥ Parallelism, so they always progress), extra
 // pair workers only spawn on tryAcquireBudget.
 func (d *Detector) acquireBudget() func() {
-	if d.budget == nil {
-		return func() {}
-	}
 	d.budget <- struct{}{}
 	return func() { <-d.budget }
 }
 
 func (d *Detector) tryAcquireBudget() bool {
-	if d.budget == nil {
-		return false
-	}
 	select {
 	case d.budget <- struct{}{}:
 		return true
@@ -239,7 +211,7 @@ func (d *Detector) tryAcquireBudget() bool {
 // group) everything runs inline on the caller; otherwise up to PP−1 extra
 // workers are spawned, gated on the global worker budget. A panic on any
 // worker stops the pool, is re-raised on the caller and handled by the
-// window-level isolation in detectWindows; the window then contributes no
+// window-level isolation in AnalyseWindow; the window then contributes no
 // results (deterministic drop — see race.WindowFailure).
 func (d *Detector) solveGroups(wc *windowCtx, groups []*sigGroup) []*groupResult {
 	col := d.opt.Telemetry
@@ -365,13 +337,13 @@ func groupSpanName(col *telemetry.Collector, kind string, g *sigGroup) string {
 
 // solveGroup decides one signature group from the canonical base state:
 // instances are attempted in enumeration order until one is satisfiable
-// (a race), the attempt budget runs out, or the run is cancelled. The
-// group's result depends only on the checkpointed base and the group
-// itself, never on the worker or on other groups.
+// (a race) or the run is cancelled. The group's result depends only on
+// the checkpointed base and the group itself, never on the worker or on
+// other groups.
 func (d *Detector) solveGroup(wc *windowCtx, ws *windowSolver, g *sigGroup) *groupResult {
 	col := d.opt.Telemetry
 	tracer := d.opt.Tracer
-	gr := &groupResult{attempts: g.baseAttempts}
+	gr := &groupResult{}
 	if ws != nil && ws.dirty {
 		ws.s.Rollback(ws.ck)
 		ws.dirty = false
@@ -384,29 +356,24 @@ func (d *Detector) solveGroup(wc *windowCtx, ws *windowSolver, g *sigGroup) *gro
 			break
 		}
 		// Instances decided after dispatch (the signature's race already
-		// found, shared parallel verdict, attempt budget reached mid-group)
-		// are pair-scheduler skips, not signature-dedup hits: partition
+		// found, or reported meanwhile by a parallel window) are
+		// pair-scheduler skips, not signature-dedup hits: partition
 		// already classified them, so counting them as dedup again would
 		// break the candidate-funnel identity the /metrics endpoint checks.
 		if gr.isRace {
 			col.CountPairSkip()
 			continue
 		}
-		if d.skipSig != nil && d.skipSig(g.sig) {
+		if wc.skip != nil && wc.skip(g.sig) {
 			col.CountPairSkip()
 			continue
 		}
-		if d.opt.MaxAttemptsPerSig > 0 && gr.attempts >= d.opt.MaxAttemptsPerSig {
-			col.CountPairSkip()
-			continue
-		}
-		if gr.budgetGone || (!wc.globalDeadline.IsZero() && time.Now().After(wc.globalDeadline)) {
+		if gr.budgetGone || (!wc.deadline.IsZero() && time.Now().After(wc.deadline)) {
 			gr.budgetGone = true
 			col.CountBudgetExhausted()
 			continue
 		}
 		gr.solved++
-		gr.attempts++
 		var qstart time.Time
 		if tracer != nil {
 			qstart = time.Now()
@@ -415,11 +382,11 @@ func (d *Detector) solveGroup(wc *windowCtx, ws *windowSolver, g *sigGroup) *gro
 			// Triage fast path: the vector-clock tier proved this instance's
 			// query satisfiable (triage.go), so the SAT verdict is recorded
 			// without touching the solver. The attempt still counts exactly
-			// like a solved query — COPsChecked, attempt budgets and the
-			// reported race are bit-identical to the triage-off run — and the
-			// tracer still sees the finding, but the solver outcome tallies
-			// deliberately exclude it: they count solver queries, and the
-			// triage telemetry block accounts for the confirmed pairs. When a
+			// like a solved query — COPsChecked and the reported race are
+			// bit-identical to the triage-off run — and the tracer still
+			// sees the finding, but the solver outcome tallies deliberately
+			// exclude it: they count solver queries, and the triage
+			// telemetry block accounts for the confirmed pairs. When a
 			// witness schedule is requested the pair falls through to the
 			// normal (guaranteed-SAT) solve instead, so witnesses match too.
 			gr.isRace = true
@@ -428,8 +395,7 @@ func (d *Detector) solveGroup(wc *windowCtx, ws *windowSolver, g *sigGroup) *gro
 				Sig: g.sig,
 			}
 			if tracer != nil {
-				tracer.QuerySolved(wc.widx, cop.A+wc.offset+d.traceOffset,
-					cop.B+wc.offset+d.traceOffset, telemetry.OutcomeSat, time.Since(qstart))
+				tracer.QuerySolved(wc.widx, cop.A+wc.offset, cop.B+wc.offset, telemetry.OutcomeSat, time.Since(qstart))
 			}
 			continue
 		}
@@ -444,7 +410,7 @@ func (d *Detector) solveGroup(wc *windowCtx, ws *windowSolver, g *sigGroup) *gro
 			// encoding is rebuilt per COP (the ablation path): no shared
 			// replica, but the scheduler structure is identical.
 			isRace, witness, outcome, qs = d.checkMerged(wc.w, wc.mhb, cop, wc.widx,
-				passTimeout, wc.globalDeadline, wc.cancel)
+				passTimeout, wc.deadline, wc.cancel)
 		} else {
 			ws.dirty = true
 			guard, hasG := ws.prepare(d, cop)
@@ -452,13 +418,12 @@ func (d *Detector) solveGroup(wc *windowCtx, ws *windowSolver, g *sigGroup) *gro
 				isRace, witness, outcome = false, nil, telemetry.OutcomeUnsat
 			} else {
 				isRace, witness, outcome, qs = ws.solve(d, wc.widx, cop, guard,
-					passTimeout, wc.globalDeadline)
+					passTimeout, wc.deadline)
 			}
 		}
 		col.CountOutcome(outcome)
 		if tracer != nil {
-			tracer.QuerySolved(wc.widx, cop.A+wc.offset+d.traceOffset,
-				cop.B+wc.offset+d.traceOffset, outcome, time.Since(qstart))
+			tracer.QuerySolved(wc.widx, cop.A+wc.offset, cop.B+wc.offset, outcome, time.Since(qstart))
 		}
 		if outcome == telemetry.OutcomeTimeout && d.twoPass() {
 			// Deferred, not abandoned: the second pass below re-solves it
@@ -546,8 +511,8 @@ func (d *Detector) retryDeferred(wc *windowCtx, ws *windowSolver, g *sigGroup, g
 				budget = d.opt.SolveTimeout
 				capped = true
 			}
-			if !wc.globalDeadline.IsZero() {
-				rem := time.Until(wc.globalDeadline)
+			if !wc.deadline.IsZero() {
+				rem := time.Until(wc.deadline)
 				if rem <= 0 {
 					gr.budgetGone = true
 					col.CountBudgetExhausted()
@@ -564,15 +529,14 @@ func (d *Detector) retryDeferred(wc *windowCtx, ws *windowSolver, g *sigGroup, g
 			}
 			if d.opt.MergeRaceVars {
 				isRace, witness, final, qs = d.checkMerged(wc.w, wc.mhb, cop, wc.widx,
-					budget, wc.globalDeadline, wc.cancel)
+					budget, wc.deadline, wc.cancel)
 			} else {
 				isRace, witness, final, qs = ws.solve(d, wc.widx, cop, guard,
-					budget, wc.globalDeadline)
+					budget, wc.deadline)
 			}
 			col.CountOutcome(final)
 			if tracer != nil {
-				tracer.QuerySolved(wc.widx, cop.A+wc.offset+d.traceOffset,
-					cop.B+wc.offset+d.traceOffset, final, time.Since(qstart))
+				tracer.QuerySolved(wc.widx, cop.A+wc.offset, cop.B+wc.offset, final, time.Since(qstart))
 			}
 			if final != telemetry.OutcomeTimeout || capped {
 				break

@@ -25,7 +25,7 @@
 //   - syncp: the WCP gate orders the pair, but the witness check still
 //     proves the race. This is the strongest witness-backed rung and the
 //     default ladder top (Options.TriageLevel).
-//   - cp (opt-in, Options.TriageCP / TriageLevel "cp"): pairs no
+//   - cp (opt-in, Options.TriageLevel "cp"): pairs no
 //     witness-backed tier confirms are checked against the
 //     causally-precedes relation composed with SHB; concurrent pairs are
 //     confirmed. Unlike the rungs above, this tier rests on the CP
@@ -68,29 +68,23 @@ const (
 	triageCP
 )
 
-// resolveTriageLevel maps the option surface (NoTriage, TriageLevel,
-// TriageCP) onto a ladder height. Unrecognised TriageLevel strings fall
+// resolveTriageLevel maps the option surface (NoTriage, TriageLevel)
+// onto a ladder height. Unrecognised TriageLevel strings fall
 // back to the default; validation with typed errors lives in the public
 // rvpredict layer.
 func (d *Detector) resolveTriageLevel() triageLevel {
 	if d.opt.NoTriage || d.opt.NoQuickCheck {
 		return triageOff
 	}
-	lv := triageSyncP
 	switch d.opt.TriageLevel {
 	case "shb":
-		lv = triageSHB
+		return triageSHB
 	case "wcp":
-		lv = triageWCP
-	case "", "syncp":
-		lv = triageSyncP
+		return triageWCP
 	case "cp":
-		lv = triageCP
+		return triageCP
 	}
-	if d.opt.TriageCP && lv < triageCP {
-		lv = triageCP
-	}
-	return lv
+	return triageSyncP
 }
 
 // triageOn reports whether the triage ladder runs: not disabled, and the

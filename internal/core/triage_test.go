@@ -124,7 +124,7 @@ func TestTriageBitIdentityMatrix(t *testing.T) {
 						{"shb", Options{Witness: witness, TriageLevel: "shb", Parallelism: par, PairParallelism: pairPar}},
 						{"wcp", Options{Witness: witness, TriageLevel: "wcp", Parallelism: par, PairParallelism: pairPar}},
 						{"syncp", Options{Witness: witness, TriageLevel: "syncp", Parallelism: par, PairParallelism: pairPar}},
-						{"cp", Options{Witness: witness, TriageCP: true, Parallelism: par, PairParallelism: pairPar}},
+						{"cp", Options{Witness: witness, TriageLevel: "cp", Parallelism: par, PairParallelism: pairPar}},
 					}
 					for _, m := range modes {
 						got := triageResult(tc.tr, tc.window, m.opt)
@@ -291,7 +291,7 @@ func TestProvenanceTierAttribution(t *testing.T) {
 			t.Fatalf("%s: fixture invalid: %v", sh.name, err)
 		}
 		// NoTriage: attribution must not depend on which fast path fired.
-		for _, opt := range []Options{{}, {NoTriage: true}, {TriageCP: true}} {
+		for _, opt := range []Options{{}, {NoTriage: true}, {TriageLevel: "cp"}} {
 			res := New(opt).Detect(tr)
 			if len(res.Races) != 1 {
 				t.Fatalf("%s (opt %+v): races = %d, want exactly 1", sh.name, opt, len(res.Races))

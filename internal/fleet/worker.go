@@ -197,7 +197,13 @@ func (w *worker) call(conn net.Conn, br *bufio.Reader, payload []byte, ttl time.
 // window boundary. acked reports whether at least one result reached
 // the coordinator's journal.
 func (w *worker) analyseShard(ctx context.Context, conn net.Conn, br *bufio.Reader, g grant) (acked bool, err error) {
-	det := core.NewWindowDetector(w.coreOptions())
+	// rvpredict's reader path maps the options the same way, so a
+	// worker-analysed window's outcome is byte-identical to the
+	// single-process run's. Workers keep no telemetry, and the worker's
+	// own fault script replaces the detection options'.
+	copt := w.det.CoreOptions(nil)
+	copt.FaultInjector = w.opt.FaultInjector
+	det := core.New(copt)
 	ttl := time.Duration(g.ttlMS) * time.Millisecond
 	inj := w.opt.FaultInjector
 	err = w.det.TraceReader.Windows(w.det.WindowSize, func(win *trace.Trace, widx, offset int) error {
@@ -218,7 +224,7 @@ func (w *worker) analyseShard(ctx context.Context, conn net.Conn, br *bufio.Read
 		if w.opt.testHoldWindow != nil {
 			w.opt.testHoldWindow(widx)
 		}
-		out, status, _ := det.DetectWindow(ctx, time.Time{}, win, widx, offset)
+		out, status := det.AnalyseWindow(ctx, time.Time{}, win, widx, offset, nil, false)
 		if status == core.WindowCut {
 			return ctx.Err()
 		}
@@ -266,25 +272,4 @@ func (w *worker) analyseShard(ctx context.Context, conn net.Conn, br *bufio.Read
 		return acked, fmt.Errorf("%w: unexpected shard-done reply 0x%02x", ErrProtocol, reply[0])
 	}
 	return acked, nil
-}
-
-// coreOptions maps the worker's detection options onto the per-window
-// detector exactly as rvpredict's sharded reader path does, so a
-// worker-analysed window's outcome is byte-identical to the
-// single-process run's.
-func (w *worker) coreOptions() core.Options {
-	det := w.det
-	return core.Options{
-		WindowSize:       det.WindowSize,
-		SolveTimeout:     det.SolveTimeout,
-		FirstPassTimeout: det.FirstPassTimeout,
-		GlobalBudget:     det.GlobalBudget,
-		MaxConflicts:     det.MaxConflicts,
-		Witness:          det.Witness,
-		PairParallelism:  det.PairParallelism,
-		NoTriage:         det.NoTriage,
-		TriageLevel:      det.TriageLevel,
-		TriageCP:         det.TriageCP,
-		FaultInjector:    w.opt.FaultInjector,
-	}
 }

@@ -192,8 +192,7 @@ type WindowFailure struct {
 // solver.
 //
 // Races (including witness indices) and Failures are in whole-trace
-// coordinates, regardless of whether the window was analysed
-// sequentially or as a parallel slice.
+// coordinates.
 type WindowOutcome struct {
 	// Window is the window's index in trace order; Offset the index of
 	// its first event in the whole trace; Events its length.
@@ -230,6 +229,14 @@ type WindowOutcome struct {
 	// PairsShed counts the candidate COP instances the degraded window
 	// dropped without a verdict.
 	PairsShed int
+
+	// Cancelled and BudgetExhausted mark a partial outcome: the window was
+	// cut short by cancellation or the global budget. A partial outcome
+	// still merges into the (interrupted) Result, but it is not a final
+	// verdict and is never journaled, so both are false on every durable
+	// record.
+	Cancelled       bool
+	BudgetExhausted bool
 }
 
 // Count returns the number of distinct races found.

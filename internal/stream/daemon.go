@@ -318,7 +318,7 @@ func (d *Daemon) acquireSlot(ctx context.Context) (holding, degrade bool) {
 // MaxSessions concurrent SMT analyses in its recovery spike — but it
 // never degrades and never trips the queue_saturate fault point:
 // resuming a session reproduces its exact pre-crash results. Returns
-// false only when ctx is cancelled (the caller's RunWindow is then cut
+// false only when ctx is cancelled (the caller's AnalyseWindow is then cut
 // and surfaces ctx.Err, as on the live path).
 func (d *Daemon) acquireRecoverySlot(ctx context.Context) bool {
 	select {

@@ -15,6 +15,8 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/race"
 	"repro/internal/stream"
+	"repro/internal/telemetry"
+	"repro/internal/workloads"
 	"repro/rvpredict"
 	"repro/trace"
 )
@@ -176,45 +178,83 @@ func TestStreamMatchesBatch(t *testing.T) {
 // be bit-identical to a batch run at the same rung, and the verdict
 // surface (which pairs race) must be the same at every rung — streaming
 // changes delivery, triage changes attribution, neither changes results.
+// The daemon's triage counters must match batch telemetry rung by rung,
+// which proves the daemon honours the configured level. richTrace
+// confirms every race at the SHB rung, so the mergesort workload row —
+// whose race only the higher rungs confirm — is the fixture that tells
+// the rungs apart.
 func TestStreamTriageRungsMatchBatch(t *testing.T) {
-	tr := richTrace()
+	spec := workloadRow(t, "mergesort")
+	mergesort, _ := workloads.Build(spec)
+	fixtures := []struct {
+		prefix string
+		tr     *trace.Trace
+		window int
+	}{
+		{"", richTrace(), 24},
+		{"mergesort/", mergesort, spec.Window},
+	}
 	rungs := []struct {
-		name         string
-		noTriage, cp bool
-		level        string
+		name     string
+		noTriage bool
+		level    string
 	}{
 		{name: "default"}, {name: "notriage", noTriage: true},
 		{name: "shb", level: "shb"}, {name: "wcp", level: "wcp"},
-		{name: "syncp", level: "syncp"}, {name: "cp", cp: true},
+		{name: "syncp", level: "syncp"}, {name: "cp", level: "cp"},
 	}
-	var baseline map[string]bool
-	for _, rung := range rungs {
-		t.Run(rung.name, func(t *testing.T) {
-			opt := rvpredict.Options{WindowSize: 24, Witness: true}
-			opt.NoTriage, opt.TriageCP, opt.TriageLevel = rung.noTriage, rung.cp, rung.level
-			_, addr := startDaemon(t, stream.Options{
-				StateDir: t.TempDir(),
-				Detect:   opt,
+	for _, fx := range fixtures {
+		var baseline map[string]bool
+		for _, rung := range rungs {
+			t.Run(fx.prefix+rung.name, func(t *testing.T) {
+				opt := rvpredict.Options{WindowSize: fx.window, Witness: true}
+				opt.NoTriage, opt.TriageLevel = rung.noTriage, rung.level
+				col := telemetry.NewCollector()
+				_, addr := startDaemon(t, stream.Options{
+					StateDir:  t.TempDir(),
+					Detect:    opt,
+					Collector: col,
+				})
+				got := normalize(streamed(t, addr, "tok", fx.tr, 3))
+				opt.Telemetry = true
+				want := normalize(batchReport(t, fx.tr, opt))
+				wantTriage := want.Telemetry.Triage
+				want.Telemetry = nil
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("stream report differs from batch at this rung:\n got %+v\nwant %+v", got, want)
+				}
+				gotTriage := col.Snapshot().Triage
+				gotTriage.FastPathNS, wantTriage.FastPathNS = 0, 0
+				if gotTriage != wantTriage {
+					t.Errorf("daemon triage counters differ from batch at this rung:\n got %+v\nwant %+v", gotTriage, wantTriage)
+				}
+				if len(got.Races) == 0 {
+					t.Fatal("fixture found no races; rung comparison is vacuous")
+				}
+				verdicts := make(map[string]bool, len(got.Races))
+				for _, r := range got.Races {
+					verdicts[fmt.Sprintf("%d/%d/%s", r.First, r.Second, r.Description)] = true
+				}
+				if baseline == nil {
+					baseline = verdicts
+				} else if !reflect.DeepEqual(verdicts, baseline) {
+					t.Errorf("verdict surface differs across rungs: %v vs %v", verdicts, baseline)
+				}
 			})
-			got := normalize(streamed(t, addr, "tok", tr, 3))
-			want := normalize(batchReport(t, tr, opt))
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("stream report differs from batch at this rung:\n got %+v\nwant %+v", got, want)
-			}
-			if len(got.Races) == 0 {
-				t.Fatal("fixture found no races; rung comparison is vacuous")
-			}
-			verdicts := make(map[string]bool, len(got.Races))
-			for _, r := range got.Races {
-				verdicts[fmt.Sprintf("%d/%d/%s", r.First, r.Second, r.Description)] = true
-			}
-			if baseline == nil {
-				baseline = verdicts
-			} else if !reflect.DeepEqual(verdicts, baseline) {
-				t.Errorf("verdict surface differs across rungs: %v vs %v", verdicts, baseline)
-			}
-		})
+		}
 	}
+}
+
+// workloadRow returns the named Table 1 workload row.
+func workloadRow(t *testing.T, name string) workloads.Spec {
+	t.Helper()
+	for _, spec := range workloads.Rows() {
+		if spec.Name == name {
+			return spec
+		}
+	}
+	t.Fatalf("no workload row %q", name)
+	return workloads.Spec{}
 }
 
 // TestStreamExactWindowMultiple pins the boundary case: a trace whose

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"os"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/journal"
@@ -15,12 +16,14 @@ import (
 
 // session is the per-client state machine: it ingests data records,
 // assembles analysis windows online with exactly the batch windower's
-// semantics (race.WindowSlices), drives them through a core.WindowRunner
-// in trace order, and renders races at window-close time while the
-// window's events are still in memory. Every mutation is mirrored to
-// the ingest log first, so replaying the log through a fresh session
-// reconstructs this state bit-identically — the single recovery path
-// shared by client reconnects and daemon restarts.
+// semantics (race.WindowSlices), analyses them in trace order with
+// core.AnalyseWindow into one core.Merge — the merge's seen set is the
+// skip hint, exactly as in the batch sequential driver — and renders
+// races at window-close time while the window's events are still in
+// memory. Every mutation is mirrored to the ingest log first, so
+// replaying the log through a fresh session reconstructs this state
+// bit-identically — the single recovery path shared by client
+// reconnects and daemon restarts.
 //
 // A session is owned by one connection goroutine at a time; it is not
 // safe for concurrent use.
@@ -32,8 +35,11 @@ type session struct {
 	jw     *journal.Writer
 	jerr   error // first journal append failure, surfaced in logs
 
-	runner *core.WindowRunner
-	resume map[int]race.WindowOutcome
+	det     *core.Detector
+	merge   *core.Merge
+	resume  map[int]race.WindowOutcome
+	start   time.Time
+	windows int // windows dispatched so far
 
 	// Online windowing state. cur is the window being filled; its
 	// first event sits at whole-trace index winStart. Dispatch is lazy:
@@ -80,7 +86,7 @@ func (d *Daemon) journalPath(token string) string { return d.statePath(token + "
 func (d *Daemon) ReportPath(token string) string { return d.statePath(token + ".report.json") }
 
 // openSession creates a fresh session or recovers a suspended one from
-// its durable state: journaled window outcomes become the runner's
+// its durable state: journaled window outcomes become the detector's
 // replay set, and the ingest log's intact prefix is replayed through
 // the session pipeline — journaled windows merge instantly, windows
 // whose outcome was lost (crash before the journal synced) are
@@ -167,21 +173,13 @@ func (d *Daemon) openSession(ctx context.Context, token string) (*session, error
 			d.logf("stream: session %s: journal append: %v", token, err)
 		}
 	}
-	det := d.opt.Detect
-	s.runner = core.NewWindowRunner(core.Options{
-		WindowSize:       det.WindowSize,
-		SolveTimeout:     det.SolveTimeout,
-		FirstPassTimeout: det.FirstPassTimeout,
-		MaxConflicts:     det.MaxConflicts,
-		Witness:          det.Witness,
-		PairParallelism:  det.PairParallelism,
-		NoTriage:         det.NoTriage,
-		TriageCP:         det.TriageCP,
-		Telemetry:        d.col,
-		FaultInjector:    d.inj,
-		OnWindowDone:     hook,
-		ResumeWindows:    s.resume,
-	})
+	copt := d.opt.Detect.CoreOptions(d.col)
+	copt.FaultInjector = d.inj
+	copt.OnWindowDone = hook
+	copt.ResumeWindows = s.resume
+	s.det = core.New(copt)
+	s.merge = s.det.NewMerge()
+	s.start = time.Now()
 
 	for i, p := range payloads {
 		rec, err := decodeRecord(p)
@@ -356,7 +354,7 @@ func (s *session) dispatchWindow(ctx context.Context, live bool) error {
 			holding = s.d.acquireRecoverySlot(ctx)
 		}
 	}
-	out, status := s.runner.RunWindow(ctx, w, widx, offset, degraded)
+	out, status := s.det.AnalyseWindow(ctx, time.Time{}, w, widx, offset, s.merge.Seen, degraded)
 	if holding {
 		s.d.releaseSlot()
 	}
@@ -366,33 +364,30 @@ func (s *session) dispatchWindow(ctx context.Context, live bool) error {
 		}
 		return fmt.Errorf("stream: window %d cut without verdict", widx)
 	}
+	s.windows++
 	if status == core.WindowReplayed {
 		s.replayed++
 	}
 	if out.Degraded {
 		s.degraded++
 	}
-	for _, r := range out.Races {
-		rr := r
-		if status == core.WindowReplayed {
-			rr.Prov.Replayed = true
-		}
+	for _, r := range s.merge.Add(out, status) {
 		// Render with window-local indices against the window trace;
 		// descriptions and locations come out identical to a batch
 		// render against the whole trace.
-		local := rr
+		local := r
 		local.A -= offset
 		local.B -= offset
 		s.races = append(s.races, rvpredict.Race{
-			First:  rr.A,
-			Second: rr.B,
+			First:  r.A,
+			Second: r.B,
 			Locations: [2]string{
 				w.LocName(w.Event(local.A).Loc),
 				w.LocName(w.Event(local.B).Loc),
 			},
 			Description: local.Describe(w),
-			Witness:     rr.Witness,
-			Provenance:  rr.Prov,
+			Witness:     r.Witness,
+			Provenance:  r.Prov,
 		})
 	}
 	return nil
@@ -424,15 +419,15 @@ func (s *session) finalize(ctx context.Context, live bool) error {
 // never attaches a telemetry snapshot (its collector is shared across
 // sessions), so a batch comparison run omits -stats likewise.
 func (s *session) report() *rvpredict.Report {
-	res := s.runner.Result()
+	res := s.merge.Result()
 	rep := &rvpredict.Report{
 		Algorithm:       s.d.opt.Detect.Algorithm,
 		Races:           s.races,
 		Stats:           s.stats.Stats(),
 		PairsChecked:    res.COPsChecked,
-		Windows:         res.Windows,
+		Windows:         s.windows,
 		SolverTimeouts:  res.SolverAborts,
-		Elapsed:         res.Elapsed,
+		Elapsed:         time.Since(s.start),
 		PairsRetried:    res.PairsRetried,
 		Interrupted:     res.Cancelled,
 		BudgetExhausted: res.BudgetExhausted,

@@ -430,8 +430,7 @@ func (c *Collector) CountQuickCheckFiltered() {
 }
 
 // CountSigDedup tallies one candidate skipped because its signature was
-// already decided (seen-set hit, shared parallel verdict, or per-signature
-// attempt budget).
+// already decided (seen-set hit or shared parallel verdict).
 func (c *Collector) CountSigDedup() {
 	if c == nil {
 		return
@@ -490,8 +489,8 @@ func (c *Collector) CountPairRollback() {
 
 // CountPairSkip tallies one dispatched signature-group instance skipped at
 // solve time because the group's verdict was already decided (an earlier
-// instance raced, a cross-slice shared verdict arrived, or the signature's
-// attempt budget ran out between dispatch and dequeue). Distinct from
+// instance raced, or a parallel window reported the signature between
+// dispatch and dequeue). Distinct from
 // CountSigDedup, which counts candidates deduplicated at partition time:
 // keeping the two apart is what makes the candidate funnel identity exact
 // (enumerated = filtered + deduped + confirmed + dispatched).

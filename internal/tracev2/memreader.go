@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 
+	"repro/internal/race"
 	"repro/internal/tracefile"
 	"repro/trace"
 )
@@ -11,8 +12,8 @@ import (
 // MemReader adapts an already-materialised *trace.Trace to the Reader
 // access surface (NumEvents/Stats/ContentHash/LocName/Event/Windows/
 // ReadAll), so the sharded analysis driver runs identically whether the
-// trace came from a chunked file or a legacy decode. Windows replicates
-// race.WindowSlices over Slice, and the content hash streams the
+// trace came from a chunked file or a legacy decode. Windows iterates
+// race.WindowSlices, and the content hash streams the
 // canonical legacy encoding through SHA-256 — the same value a chunked
 // file's footer carries for the same trace.
 type MemReader struct {
@@ -54,34 +55,13 @@ func (m *MemReader) Event(i int) (trace.Event, error) {
 	return m.tr.Event(i), nil
 }
 
-// Windows invokes f per analysis window with race.WindowSlices
-// semantics: same boundaries, same carried last-write installation,
-// built over Slice.
+// Windows invokes f per analysis window of race.WindowSlices. The
+// windows share the trace's backing array, so no events are copied.
 func (m *MemReader) Windows(size int, f func(w *trace.Trace, widx, offset int) error) error {
-	tr := m.tr
-	if size <= 0 || tr.Len() <= size {
-		return f(tr, 0, 0)
-	}
-	carried := make(map[trace.Addr]int64)
-	widx := 0
-	for lo := 0; lo < tr.Len(); lo += size {
-		hi := lo + size
-		if hi > tr.Len() {
-			hi = tr.Len()
-		}
-		w := tr.Slice(lo, hi)
-		for a, v := range carried {
-			w.SetInitial(a, v)
-		}
-		if err := f(w, widx, lo); err != nil {
+	for widx, w := range race.WindowSlices(m.tr, size) {
+		if err := f(w.Trace, widx, w.Offset); err != nil {
 			return err
 		}
-		for i := lo; i < hi; i++ {
-			if e := tr.Event(i); e.Op == trace.OpWrite {
-				carried[e.Addr] = e.Value
-			}
-		}
-		widx++
 	}
 	return nil
 }

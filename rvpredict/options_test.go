@@ -24,10 +24,8 @@ func TestValidateRejectsEachBadCombination(t *testing.T) {
 		{"negative first-pass timeout", rvpredict.Options{FirstPassTimeout: -1}, "FirstPassTimeout"},
 		{"negative global budget", rvpredict.Options{GlobalBudget: -1}, "GlobalBudget"},
 		{"negative conflict budget", rvpredict.Options{MaxConflicts: -1}, "MaxConflicts"},
-		{"cp triage with triage disabled", rvpredict.Options{NoTriage: true, TriageCP: true}, "TriageCP"},
 		{"unknown triage level", rvpredict.Options{TriageLevel: "hb"}, "TriageLevel"},
 		{"triage level with triage disabled", rvpredict.Options{NoTriage: true, TriageLevel: "syncp"}, "TriageLevel"},
-		{"cp flag against a lower level", rvpredict.Options{TriageCP: true, TriageLevel: "shb"}, "TriageLevel"},
 		{"resume without a journal", rvpredict.Options{Resume: true}, "Resume"},
 		{"journal on a non-RV algorithm", rvpredict.Options{Journal: "j", Algorithm: rvpredict.HappensBefore}, "Journal"},
 		{"negative group-commit interval", rvpredict.Options{Journal: "j", JournalGroupCommit: -1}, "JournalGroupCommit"},
@@ -67,10 +65,9 @@ func TestValidateAcceptsDefinedOptions(t *testing.T) {
 		{"unbounded solver", rvpredict.Options{SolveTimeout: -1}},
 		{"journal with defaults", rvpredict.Options{Journal: "j"}},
 		{"resume with journal", rvpredict.Options{Journal: "j", Resume: true}},
-		{"full parallel matrix", rvpredict.Options{Parallelism: 8, PairParallelism: 8, TriageCP: true}},
+		{"full parallel matrix", rvpredict.Options{Parallelism: 8, PairParallelism: 8, TriageLevel: "cp"}},
 		{"explicit default rung", rvpredict.Options{TriageLevel: "syncp"}},
 		{"lowest rung", rvpredict.Options{TriageLevel: "shb"}},
-		{"cp by level and flag together", rvpredict.Options{TriageLevel: "cp", TriageCP: true}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -78,5 +75,17 @@ func TestValidateAcceptsDefinedOptions(t *testing.T) {
 				t.Fatalf("Validate() = %v, want nil", err)
 			}
 		})
+	}
+}
+
+// TestCoreOptionsKeepsNormalisedSentinels: CoreOptions maps normalised
+// options as they are. Normalising a second time would turn the
+// whole-trace window (-1 → 0) into the default 10000-event window and an
+// unbounded solver (-1 → 0) into the 60 s default.
+func TestCoreOptionsKeepsNormalisedSentinels(t *testing.T) {
+	c := rvpredict.Options{WindowSize: -1, SolveTimeout: -1, TriageLevel: "shb"}.Normalised().CoreOptions(nil)
+	if c.WindowSize != 0 || c.SolveTimeout != 0 || c.TriageLevel != "shb" {
+		t.Errorf("CoreOptions = window %d, solve %v, triage %q; want 0, 0, \"shb\"",
+			c.WindowSize, c.SolveTimeout, c.TriageLevel)
 	}
 }

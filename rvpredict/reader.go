@@ -63,8 +63,8 @@ var errStopWindows = errors.New("rvpredict: stop window iteration")
 // already-materialised trace) a non-nil tr, which is wrapped in the
 // in-memory adapter. Baseline algorithms materialise the trace and take
 // the ordinary path; MaximalCF analyses window by window via
-// core.DetectWindow, whose per-window independence is what makes the
-// shard partition mergeable.
+// core.AnalyseWindow without a skip hint, whose per-window independence
+// is what makes the shard partition mergeable.
 func runReader(ctx context.Context, tr *trace.Trace, opt Options) (Report, error) {
 	rd := opt.TraceReader
 	switch {
@@ -149,42 +149,26 @@ func runReaderDetect(ctx context.Context, rd TraceReader, opt Options, mergeMode
 	return buildReaderReport(rd, res, opt, col)
 }
 
-// detectReader streams the reader's windows through an isolated
-// per-window detector (core.DetectWindow) and merges the outcomes in
-// window order. In a sharded run only the windows whose index ≡ ShardID
-// (mod Shards) are analysed; the rest are skipped (and counted). The
-// merge deduplicates races by signature, earliest window first —
-// exactly the order the sequential batch driver confirms them in — so a
-// full (unsharded) reader run and an N-shard merge reconstruct the same
-// race list.
+// detectReader streams the reader's windows through core.AnalyseWindow
+// with no skip hint, so every window is analysed in isolation, and
+// merges the outcomes in window order. In a sharded run only the windows
+// whose index ≡ ShardID (mod Shards) are analysed; the rest are skipped
+// (and counted). The merge deduplicates races by signature, earliest
+// window first — exactly the order the sequential batch driver confirms
+// them in — so a full (unsharded) reader run and an N-shard merge
+// reconstruct the same race list. A cut window's partial races are
+// merged and end the iteration.
 func detectReader(ctx context.Context, rd TraceReader, opt Options, col *telemetry.Collector) (race.Result, error) {
-	copt := core.Options{
-		WindowSize:       opt.WindowSize,
-		SolveTimeout:     opt.SolveTimeout,
-		FirstPassTimeout: opt.FirstPassTimeout,
-		GlobalBudget:     opt.GlobalBudget,
-		MaxConflicts:     opt.MaxConflicts,
-		Witness:          opt.Witness,
-		PairParallelism:  opt.PairParallelism,
-		NoTriage:         opt.NoTriage,
-		TriageLevel:      opt.TriageLevel,
-		TriageCP:         opt.TriageCP,
-		Telemetry:        col,
-		Tracer:           opt.Tracer,
-		FaultInjector:    opt.FaultInjector,
-		OnWindowDone:     opt.onWindowDone,
-		ResumeWindows:    opt.resumeWindows,
-	}
-	d := core.NewWindowDetector(copt)
-	var globalDeadline time.Time
+	d := core.New(opt.CoreOptions(col))
+	start := time.Now()
+	var deadline time.Time
 	if opt.GlobalBudget > 0 {
-		globalDeadline = time.Now().Add(opt.GlobalBudget)
+		deadline = start.Add(opt.GlobalBudget)
 	}
 	runSpan := col.BeginSpan("run", telemetry.RunLane(), 0)
 	col.Spans().SetRoot(runSpan.ID())
-	start := time.Now()
-	var agg race.Result
-	seen := make(map[race.Signature]bool)
+	m := d.NewMerge()
+	windows := 0
 	err := rd.Windows(opt.WindowSize, func(w *trace.Trace, widx, offset int) error {
 		if opt.Shards > 0 {
 			owned := widx%opt.Shards == opt.ShardID
@@ -193,33 +177,22 @@ func detectReader(ctx context.Context, rd TraceReader, opt Options, col *telemet
 				return nil
 			}
 		}
-		out, status, res := d.DetectWindow(ctx, globalDeadline, w, widx, offset)
-		_ = out
-		agg.COPsChecked += res.COPsChecked
-		agg.SolverAborts += res.SolverAborts
-		agg.PairsRetried += res.PairsRetried
-		agg.Cancelled = agg.Cancelled || res.Cancelled
-		agg.BudgetExhausted = agg.BudgetExhausted || res.BudgetExhausted
-		agg.Failures = append(agg.Failures, res.Failures...)
-		for _, r := range res.Races {
-			if seen[r.Sig] {
-				continue
-			}
-			seen[r.Sig] = true
-			agg.Races = append(agg.Races, r)
-		}
+		out, status := d.AnalyseWindow(ctx, deadline, w, widx, offset, nil, false)
+		m.Add(out, status)
 		if status == core.WindowCut {
 			return errStopWindows
 		}
-		agg.Windows++
+		windows++
 		return nil
 	})
 	runSpan.End()
-	agg.Elapsed = time.Since(start)
+	res := m.Result()
+	res.Windows = windows
+	res.Elapsed = time.Since(start)
 	if err != nil && err != errStopWindows {
-		return agg, err
+		return res, err
 	}
-	return agg, nil
+	return res, nil
 }
 
 // locOfReader adapts a TraceReader to the event-index → location

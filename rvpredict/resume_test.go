@@ -79,7 +79,7 @@ func TestResumeMatrixBitIdentical(t *testing.T) {
 	type combo struct {
 		name         string
 		par, pairPar int
-		noTriage, cp bool
+		noTriage     bool
 		level        string
 		fullCompare  bool // parallel merges share verdicts, so PairsChecked may differ
 	}
@@ -87,17 +87,17 @@ func TestResumeMatrixBitIdentical(t *testing.T) {
 	for _, par := range []int{0, 2} {
 		for _, pairPar := range []int{0, 2} {
 			for _, tri := range []struct {
-				name         string
-				noTriage, cp bool
-				level        string
+				name     string
+				noTriage bool
+				level    string
 			}{
 				{name: "triage"}, {name: "notriage", noTriage: true},
 				{name: "shb", level: "shb"}, {name: "wcp", level: "wcp"},
-				{name: "syncp", level: "syncp"}, {name: "cp", cp: true},
+				{name: "syncp", level: "syncp"}, {name: "cp", level: "cp"},
 			} {
 				combos = append(combos, combo{
 					name: tri.name, par: par, pairPar: pairPar,
-					noTriage: tri.noTriage, cp: tri.cp, level: tri.level,
+					noTriage: tri.noTriage, level: tri.level,
 					fullCompare: par <= 1,
 				})
 			}
@@ -108,7 +108,7 @@ func TestResumeMatrixBitIdentical(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			base := runOpts()
 			base.Parallelism, base.PairParallelism = c.par, c.pairPar
-			base.NoTriage, base.TriageCP, base.TriageLevel = c.noTriage, c.cp, c.level
+			base.NoTriage, base.TriageLevel = c.noTriage, c.level
 			clean, err := rvpredict.Run(nil, tr, base)
 			if err != nil {
 				t.Fatalf("clean run failed: %v", err)

@@ -182,16 +182,12 @@ type Options struct {
 	// only): "shb" (vector clocks only), "wcp" (adds the
 	// weak-causally-precedes gate over the sync-preserving witness
 	// check), "syncp" (adds the witness check alone — the default, also
-	// spelled ""), or "cp" (adds the opt-in causally-precedes tier).
-	// Every level produces a bit-identical report; the knob trades
-	// per-window analysis time against solver queries. Unknown values
-	// fail Validate. See core.Options.TriageLevel and
+	// spelled ""), or "cp" (adds the opt-in causally-precedes tier for
+	// lock-heavy traces). Every level produces a bit-identical report;
+	// the knob trades per-window analysis time against solver queries.
+	// Unknown values fail Validate. See core.Options.TriageLevel and
 	// doc/performance.md.
 	TriageLevel string
-	// TriageCP additionally enables the causally-precedes top tier for
-	// lock-heavy traces (MaximalCF only; off by default). Equivalent to
-	// TriageLevel "cp"; kept for compatibility. See core.Options.TriageCP.
-	TriageCP bool
 	// Telemetry attaches a Telemetry metrics snapshot to the report:
 	// phase timings, solver counters and outcome tallies. Collection is
 	// allocation-light but not free; leave it off on hot paths. Enabling
@@ -248,9 +244,9 @@ type Options struct {
 	// Reader and its in-memory adapter. MaximalCF analyses out-of-core;
 	// baseline algorithms materialise the trace via ReadAll first.
 	// Honoured by Run only. Every window is analysed with fresh
-	// per-window signature state (see core.DetectWindow), so the report
-	// carries the same races as the batch path but counts solver work
-	// per window; Parallelism is ignored.
+	// per-window signature state (core.AnalyseWindow with no skip hint),
+	// so the report carries the same races as the batch path but counts
+	// solver work per window; Parallelism is ignored.
 	TraceReader TraceReader
 	// Shards, when > 0, enables deterministic window sharding over the
 	// reader path (MaximalCF via Run only): this process analyses only
@@ -335,9 +331,6 @@ func (o Options) Validate() error {
 	if o.MaxConflicts < 0 {
 		return &OptionsError{Field: "MaxConflicts", Reason: "negative; use 0 for an unbounded search"}
 	}
-	if o.NoTriage && o.TriageCP {
-		return &OptionsError{Field: "TriageCP", Reason: "requests a second triage tier while NoTriage disables triage entirely"}
-	}
 	switch o.TriageLevel {
 	case "", "shb", "wcp", "syncp", "cp":
 	default:
@@ -345,9 +338,6 @@ func (o Options) Validate() error {
 	}
 	if o.NoTriage && o.TriageLevel != "" {
 		return &OptionsError{Field: "TriageLevel", Reason: "selects a triage ladder rung while NoTriage disables triage entirely"}
-	}
-	if o.TriageCP && o.TriageLevel != "" && o.TriageLevel != "cp" {
-		return &OptionsError{Field: "TriageLevel", Reason: fmt.Sprintf("%q conflicts with TriageCP, which demands the full ladder", o.TriageLevel)}
 	}
 	if o.Resume && o.Journal == "" {
 		return &OptionsError{Field: "Resume", Reason: "requires Journal: there is nothing to resume from"}
@@ -694,24 +684,7 @@ func DetectContext(ctx context.Context, tr *trace.Trace, opt Options) Report {
 	case QuickCheck:
 		det = uncancellable{lockset.New(lockset.Options{WindowSize: opt.WindowSize})}
 	default:
-		det = core.New(core.Options{
-			WindowSize:       opt.WindowSize,
-			SolveTimeout:     opt.SolveTimeout,
-			FirstPassTimeout: opt.FirstPassTimeout,
-			GlobalBudget:     opt.GlobalBudget,
-			MaxConflicts:     opt.MaxConflicts,
-			Witness:          opt.Witness,
-			Parallelism:      opt.Parallelism,
-			PairParallelism:  opt.PairParallelism,
-			NoTriage:         opt.NoTriage,
-			TriageLevel:      opt.TriageLevel,
-			TriageCP:         opt.TriageCP,
-			Telemetry:        col,
-			Tracer:           opt.Tracer,
-			FaultInjector:    opt.FaultInjector,
-			OnWindowDone:     opt.onWindowDone,
-			ResumeWindows:    opt.resumeWindows,
-		})
+		det = core.New(opt.CoreOptions(col))
 	}
 	res := det.DetectContext(ctx, tr)
 	scan := col.StartPhase(telemetry.PhaseTraceScan)
@@ -752,6 +725,32 @@ func DetectContext(ctx context.Context, tr *trace.Trace, opt Options) Report {
 		})
 	}
 	return rep
+}
+
+// CoreOptions maps the options onto the MaximalCF detector's, with col
+// as its telemetry collector: the one mapping behind every driver — the
+// batch and reader paths here, the streaming session and the fleet
+// worker — so a window analysed by any of them sees the same
+// configuration. The options must already be Normalised (normalising
+// twice would turn a whole-trace window into the default size).
+func (o Options) CoreOptions(col *telemetry.Collector) core.Options {
+	return core.Options{
+		WindowSize:       o.WindowSize,
+		SolveTimeout:     o.SolveTimeout,
+		FirstPassTimeout: o.FirstPassTimeout,
+		GlobalBudget:     o.GlobalBudget,
+		MaxConflicts:     o.MaxConflicts,
+		Witness:          o.Witness,
+		Parallelism:      o.Parallelism,
+		PairParallelism:  o.PairParallelism,
+		NoTriage:         o.NoTriage,
+		TriageLevel:      o.TriageLevel,
+		Telemetry:        col,
+		Tracer:           o.Tracer,
+		FaultInjector:    o.FaultInjector,
+		OnWindowDone:     o.onWindowDone,
+		ResumeWindows:    o.resumeWindows,
+	}
 }
 
 // publicProvenance returns the race's provenance, stamping the baseline
