@@ -551,9 +551,8 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if *coordAddr != "" || *workerAddr != "" {
 		if rd != nil {
 			opt.TraceReader = rd
-		} else if opt.TraceReader, err = tracev2.FromTrace(tr); err != nil {
-			fmt.Fprintln(stderr, "rvpredict:", err)
-			return 2
+		} else {
+			opt.TraceReader = tracev2.FromTrace(tr)
 		}
 	}
 	logf := func(format string, fargs ...any) {
@@ -622,9 +621,8 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	} else if *mergeList != "" {
 		if rd != nil {
 			opt.TraceReader = rd
-		} else if opt.TraceReader, err = tracev2.FromTrace(tr); err != nil {
-			fmt.Fprintln(stderr, "rvpredict:", err)
-			return 2
+		} else {
+			opt.TraceReader = tracev2.FromTrace(tr)
 		}
 		rep, err = rvpredict.MergeShards(ctx, opt, strings.Split(*mergeList, ","))
 	} else {

@@ -35,9 +35,11 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/encode"
@@ -211,19 +213,49 @@ func (d *Detector) Detect(tr *trace.Trace) race.Result {
 	return d.DetectContext(context.Background(), tr)
 }
 
-// DetectContext runs maximal race detection over tr under ctx. The
-// context is polled between windows, between pairs, and — via the
-// cooperative cancel hook — inside the CDCL conflict loop, so a run can
-// be stopped mid-solve. The partial Result is always well-formed: it
-// covers every window completed before the cancel and is flagged
-// Cancelled. A nil ctx is treated as context.Background().
-//
-// The batch drivers are loops over AnalyseWindow feeding one Merge in
-// window order. The sequential driver passes the merge's own seen set
-// as the skip hint, so a signature reported by an earlier window is
-// never solved again; with Parallelism > 1 the windows run concurrently
-// and share a best-effort set of the signatures reported so far.
+// DetectContext runs maximal race detection over tr under ctx: the
+// window loop (Analyse) over race.WindowSlices, with signature state
+// carried across windows. The context is polled between windows, between
+// pairs, and — via the cooperative cancel hook — inside the CDCL
+// conflict loop, so a run can be stopped mid-solve. The partial Result
+// is always well-formed: it covers every window completed before the
+// cancel and is flagged Cancelled. A nil ctx is treated as
+// context.Background().
 func (d *Detector) DetectContext(ctx context.Context, tr *trace.Trace) race.Result {
+	slices := race.WindowSlices(tr, d.opt.WindowSize)
+	res, _ := d.Analyse(ctx, func(yield func(w *trace.Trace, widx, offset int) error) error {
+		for i, s := range slices {
+			if err := yield(s.Trace, i, s.Offset); err != nil {
+				return err
+			}
+		}
+		return nil
+	}, true)
+	res.Windows = len(slices)
+	return res
+}
+
+// WindowSource calls yield once per analysis window, in window order,
+// with the window's trace (window-local indices), its index and the
+// whole-trace index of its first event. A non-nil error from yield stops
+// the iteration and is returned verbatim.
+type WindowSource func(yield func(w *trace.Trace, widx, offset int) error) error
+
+// errStop ends a window iteration once a window has been cut.
+var errStop = errors.New("core: window iteration stopped")
+
+// Analyse is the one window loop behind every batch driver: it runs each
+// window the source yields through AnalyseWindow and merges the outcomes
+// in window order. carry selects the skip hint: with carry, a window
+// skips the signatures already reported — the merge's seen set when
+// sequential, a best-effort set shared by the workers under Parallelism —
+// and without it every window is analysed on its own content alone. The
+// first cut window ends the iteration. Under Parallelism > 1 windows run
+// concurrently: yield takes a worker slot before it starts a window, so
+// at most Parallelism windows are live and the source never reads far
+// ahead. The result's Windows is the caller's to fill in; the error is
+// the source's.
+func (d *Detector) Analyse(ctx context.Context, windows WindowSource, carry bool) (race.Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -232,60 +264,86 @@ func (d *Detector) DetectContext(ctx context.Context, tr *trace.Trace) race.Resu
 	if d.opt.GlobalBudget > 0 {
 		deadline = start.Add(d.opt.GlobalBudget)
 	}
-	slices := race.WindowSlices(tr, d.opt.WindowSize)
 	m := d.NewMerge()
+	var err error
 	if d.opt.Parallelism > 1 {
-		d.analyseParallel(ctx, deadline, slices, m)
+		err = d.analyseParallel(ctx, deadline, windows, m, carry)
 	} else {
-		for i, s := range slices {
-			m.Add(d.AnalyseWindow(ctx, deadline, s.Trace, i, s.Offset, m.Seen, false))
+		var skip func(race.Signature) bool
+		if carry {
+			skip = m.Seen
 		}
+		err = windows(func(w *trace.Trace, widx, offset int) error {
+			out, status := d.AnalyseWindow(ctx, deadline, w, widx, offset, skip, false)
+			m.Add(out, status)
+			if status == WindowCut {
+				return errStop
+			}
+			return nil
+		})
+	}
+	if err == errStop {
+		err = nil
 	}
 	res := m.Result()
-	res.Windows = len(slices)
 	if ctx.Err() != nil {
 		res.Cancelled = true
 	}
 	res.Elapsed = time.Since(start)
-	return res
+	return res, err
 }
 
-// analyseParallel analyses the windows on Parallelism workers and merges
-// the outcomes in window order. Once any worker reports a signature,
-// later-starting windows skip its instances: this only suppresses
-// redundant solver calls — the merge still deduplicates
-// deterministically — so the race set is unchanged while COPsChecked may
-// vary run to run.
-func (d *Detector) analyseParallel(ctx context.Context, deadline time.Time, slices []race.WindowSlice, m *Merge) {
+// analyseParallel is Analyse on Parallelism workers. With carry, once
+// any worker reports a signature, later-starting windows skip its
+// instances: this only suppresses redundant solver calls — the merge
+// still deduplicates deterministically — so the race set is unchanged
+// while COPsChecked may vary run to run.
+func (d *Detector) analyseParallel(ctx context.Context, deadline time.Time, windows WindowSource, m *Merge, carry bool) error {
 	type result struct {
 		out    race.WindowOutcome
 		status WindowStatus
 	}
-	results := make([]result, len(slices))
-	var found sync.Map
-	skip := func(sig race.Signature) bool {
-		_, ok := found.Load(sig)
-		return ok
+	var (
+		results []*result // in window order
+		found   sync.Map
+		cut     atomic.Bool
+		wg      sync.WaitGroup
+		skip    func(race.Signature) bool
+	)
+	if carry {
+		skip = func(sig race.Signature) bool {
+			_, ok := found.Load(sig)
+			return ok
+		}
 	}
 	sem := make(chan struct{}, d.opt.Parallelism)
-	var wg sync.WaitGroup
-	for i, s := range slices {
+	err := windows(func(w *trace.Trace, widx, offset int) error {
+		sem <- struct{}{}
+		if cut.Load() {
+			<-sem
+			return errStop
+		}
+		r := new(result)
+		results = append(results, r)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sem <- struct{}{}
 			defer func() { <-sem }()
-			out, status := d.AnalyseWindow(ctx, deadline, s.Trace, i, s.Offset, skip, false)
-			for _, r := range out.Races {
-				found.Store(r.Sig, true)
+			r.out, r.status = d.AnalyseWindow(ctx, deadline, w, widx, offset, skip, false)
+			for _, rc := range r.out.Races {
+				found.Store(rc.Sig, true)
 			}
-			results[i] = result{out, status}
+			if r.status == WindowCut {
+				cut.Store(true)
+			}
 		}()
-	}
+		return nil
+	})
 	wg.Wait()
 	for _, r := range results {
 		m.Add(r.out, r.status)
 	}
+	return err
 }
 
 // Retry-policy constants of the two-pass scheduler: each retry multiplies
@@ -383,12 +441,12 @@ const (
 // the window short.
 //
 // skip, when non-nil, reports signatures of races merged from earlier
-// windows: their instances are not analysed. The sequential drivers pass
-// Merge.Seen; Parallelism passes a best-effort set shared by its
-// workers; the reader, shard and fleet drivers pass nil, so a window's
-// verdict depends only on its own content and any assignment of windows
-// to processes merges to the same report. skip must be safe for
-// concurrent calls when PairParallelism > 1.
+// windows: their instances are not analysed. Analyse passes Merge.Seen
+// or its workers' shared set when it carries signature state, and nil
+// otherwise, as does the fleet worker, so a window's verdict depends
+// only on its own content and any assignment of windows to processes
+// merges to the same report; the stream session passes Merge.Seen. skip
+// must be safe for concurrent calls when PairParallelism > 1.
 //
 // With degraded set, the SMT tier is shed: only pairs the sound triage
 // ladder already confirmed are reported (flagged Degraded in provenance

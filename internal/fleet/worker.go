@@ -193,11 +193,11 @@ func (w *worker) call(conn net.Conn, br *bufio.Reader, payload []byte, ttl time.
 
 // analyseShard walks the trace's windows, analyses the leased shard's
 // own (window index ≡ shard mod shards, exactly rvpredict's sharded
-// reader path), and streams each outcome back, heartbeating at every
+// runs), and streams each outcome back, heartbeating at every
 // window boundary. acked reports whether at least one result reached
 // the coordinator's journal.
 func (w *worker) analyseShard(ctx context.Context, conn net.Conn, br *bufio.Reader, g grant) (acked bool, err error) {
-	// rvpredict's reader path maps the options the same way, so a
+	// rvpredict.Run maps the options the same way, so a
 	// worker-analysed window's outcome is byte-identical to the
 	// single-process run's. Workers keep no telemetry, and the worker's
 	// own fault script replaces the detection options'.

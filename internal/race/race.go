@@ -126,9 +126,14 @@ type Race struct {
 
 // Describe renders the race with location names from tr.
 func (r Race) Describe(tr *trace.Trace) string {
-	return fmt.Sprintf("race(%s, %s) between %v and %v",
-		tr.LocName(tr.Event(r.A).Loc), tr.LocName(tr.Event(r.B).Loc),
-		tr.Event(r.A), tr.Event(r.B))
+	a, b := tr.Event(r.A), tr.Event(r.B)
+	return DescribePair(tr.LocName(a.Loc), tr.LocName(b.Loc), a, b)
+}
+
+// DescribePair renders a race between events a and b, located at locA
+// and locB: the one race description format.
+func DescribePair(locA, locB string, a, b trace.Event) string {
+	return fmt.Sprintf("race(%s, %s) between %v and %v", locA, locB, a, b)
 }
 
 // Result is the outcome of running one detector on one trace.
@@ -138,7 +143,9 @@ type Result struct {
 	// COPsChecked counts candidate pairs examined (after any quick-check
 	// filtering and signature deduplication).
 	COPsChecked int
-	// Windows is the number of trace windows analysed.
+	// Windows is the number of windows of the trace's layout the run
+	// owns — all of them, or a sharded run's share — including any a
+	// cancellation or budget cut kept it from reaching.
 	Windows int
 	// Elapsed is the total detection wall-clock time.
 	Elapsed time.Duration

@@ -18,12 +18,12 @@ import (
 // assembles analysis windows online with exactly the batch windower's
 // semantics (race.WindowSlices), analyses them in trace order with
 // core.AnalyseWindow into one core.Merge — the merge's seen set is the
-// skip hint, exactly as in the batch sequential driver — and renders
-// races at window-close time while the window's events are still in
-// memory. Every mutation is mirrored to the ingest log first, so
-// replaying the log through a fresh session reconstructs this state
-// bit-identically — the single recovery path shared by client
-// reconnects and daemon restarts.
+// skip hint, exactly as in a sequential in-memory rvpredict.Run — and
+// renders races through rvpredict.RenderRace at window-close time, while
+// the window's events are still in memory. Every mutation is mirrored to
+// the ingest log first, so replaying the log through a fresh session
+// reconstructs this state bit-identically — the single recovery path
+// shared by client reconnects and daemon restarts.
 //
 // A session is owned by one connection goroutine at a time; it is not
 // safe for concurrent use.
@@ -372,26 +372,25 @@ func (s *session) dispatchWindow(ctx context.Context, live bool) error {
 		s.degraded++
 	}
 	for _, r := range s.merge.Add(out, status) {
-		// Render with window-local indices against the window trace;
-		// descriptions and locations come out identical to a batch
-		// render against the whole trace.
-		local := r
-		local.A -= offset
-		local.B -= offset
-		s.races = append(s.races, rvpredict.Race{
-			First:  r.A,
-			Second: r.B,
-			Locations: [2]string{
-				w.LocName(w.Event(local.A).Loc),
-				w.LocName(w.Event(local.B).Loc),
-			},
-			Description: local.Describe(w),
-			Witness:     r.Witness,
-			Provenance:  r.Prov,
-		})
+		pr, err := rvpredict.RenderRace(windowEvents{w, offset}, r, s.d.opt.Detect)
+		if err != nil {
+			return err
+		}
+		s.races = append(s.races, pr)
 	}
 	return nil
 }
+
+// windowEvents is the renderer's view of a closed window: whole-trace
+// event indices read through the window's own events, so races render
+// exactly as a batch render over the whole trace.
+type windowEvents struct {
+	w      *trace.Trace
+	offset int
+}
+
+func (v windowEvents) Event(i int) (trace.Event, error) { return v.w.Event(i - v.offset), nil }
+func (v windowEvents) LocName(l trace.Loc) string       { return v.w.LocName(l) }
 
 // finalize performs end-of-stream windowing: the non-empty remainder is
 // analysed as the last window, and an empty stream still gets its one
@@ -414,30 +413,17 @@ func (s *session) finalize(ctx context.Context, live bool) error {
 	return nil
 }
 
-// report assembles the session's final report — field for field what
-// batch DetectContext builds over the materialised trace. The daemon
-// never attaches a telemetry snapshot (its collector is shared across
-// sessions), so a batch comparison run omits -stats likewise.
+// report assembles the session's final report through the batch
+// report builder. The daemon never attaches a telemetry snapshot (its
+// collector is shared across sessions), so a batch comparison run omits
+// -stats likewise.
 func (s *session) report() *rvpredict.Report {
 	res := s.merge.Result()
-	rep := &rvpredict.Report{
-		Algorithm:       s.d.opt.Detect.Algorithm,
-		Races:           s.races,
-		Stats:           s.stats.Stats(),
-		PairsChecked:    res.COPsChecked,
-		Windows:         s.windows,
-		SolverTimeouts:  res.SolverAborts,
-		Elapsed:         time.Since(s.start),
-		PairsRetried:    res.PairsRetried,
-		Interrupted:     res.Cancelled,
-		BudgetExhausted: res.BudgetExhausted,
-		DegradedWindows: s.degraded,
-		Build:           rvpredict.BuildInfo(),
-	}
-	for _, f := range res.Failures {
-		rep.WindowFailures = append(rep.WindowFailures, rvpredict.WindowFailure(f))
-	}
-	return rep
+	res.Windows = s.windows
+	res.Elapsed = time.Since(s.start)
+	rep := rvpredict.NewReport(s.d.opt.Detect, res, s.stats.Stats(), s.races)
+	rep.DegradedWindows = s.degraded
+	return &rep
 }
 
 // close releases the session's file handles, syncing both the ingest

@@ -3,6 +3,7 @@ package tracev2
 import (
 	"crypto/sha256"
 	"fmt"
+	"sync"
 
 	"repro/internal/race"
 	"repro/internal/tracefile"
@@ -11,38 +12,45 @@ import (
 
 // MemReader adapts an already-materialised *trace.Trace to the Reader
 // access surface (NumEvents/Stats/ContentHash/LocName/Event/Windows/
-// ReadAll), so the sharded analysis driver runs identically whether the
-// trace came from a chunked file or a legacy decode. Windows iterates
-// race.WindowSlices, and the content hash streams the
-// canonical legacy encoding through SHA-256 — the same value a chunked
-// file's footer carries for the same trace.
+// ReadAll), so every analysis driver runs identically whether the trace
+// came from a chunked file or a legacy decode. Wrapping is free: the
+// content hash (SHA-256 of the canonical legacy encoding, the same value
+// a chunked file's footer carries for the same trace) and the stats are
+// each computed once, on first use.
 type MemReader struct {
-	tr    *trace.Trace
-	stats trace.Stats
-	hash  [sha256.Size]byte
+	tr *trace.Trace
+
+	hashOnce  sync.Once
+	hash      [sha256.Size]byte
+	statsOnce sync.Once
+	stats     trace.Stats
 }
 
 // FromTrace wraps tr. The trace must not be mutated afterwards (the
-// hash and stats are computed here).
-func FromTrace(tr *trace.Trace) (*MemReader, error) {
-	h := sha256.New()
-	if err := tracefile.Encode(h, tr); err != nil {
-		return nil, err
-	}
-	m := &MemReader{tr: tr, stats: tr.ComputeStats()}
-	h.Sum(m.hash[:0])
-	return m, nil
-}
+// hash and stats are computed from it lazily).
+func FromTrace(tr *trace.Trace) *MemReader { return &MemReader{tr: tr} }
 
 // NumEvents returns the trace's event count.
 func (m *MemReader) NumEvents() int { return m.tr.Len() }
 
 // Stats returns the trace's summary metrics.
-func (m *MemReader) Stats() trace.Stats { return m.stats }
+func (m *MemReader) Stats() trace.Stats {
+	m.statsOnce.Do(func() { m.stats = m.tr.ComputeStats() })
+	return m.stats
+}
 
 // ContentHash returns the canonical-encoding SHA-256, matching
 // journal.TraceFingerprint.
-func (m *MemReader) ContentHash() [sha256.Size]byte { return m.hash }
+func (m *MemReader) ContentHash() [sha256.Size]byte {
+	m.hashOnce.Do(func() {
+		h := sha256.New()
+		if err := tracefile.Encode(h, m.tr); err != nil {
+			panic(err) // a hash.Hash never fails a write
+		}
+		h.Sum(m.hash[:0])
+	})
+	return m.hash
+}
 
 // LocName renders a program location.
 func (m *MemReader) LocName(l trace.Loc) string { return m.tr.LocName(l) }

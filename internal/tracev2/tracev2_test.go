@@ -177,10 +177,7 @@ func TestWindowsMatchWindowSlices(t *testing.T) {
 // behind rvpredict's TraceReader.
 func TestMemReaderMatchesReader(t *testing.T) {
 	tr := testTraces(t)["workload"]
-	mem, err := tracev2.FromTrace(tr)
-	if err != nil {
-		t.Fatalf("FromTrace: %v", err)
-	}
+	mem := tracev2.FromTrace(tr)
 	r := chunkedReader(t, tr, 64)
 	if mem.ContentHash() != r.ContentHash() {
 		t.Fatal("ContentHash differs between MemReader and Reader")

@@ -8,7 +8,6 @@ import (
 	"repro/internal/introspect"
 	"repro/internal/race"
 	"repro/internal/telemetry"
-	"repro/trace"
 )
 
 // SpanRecorder is the bounded, lock-free ring buffer the detectors
@@ -66,22 +65,15 @@ func BuildInfo() BuildID {
 	return buildID
 }
 
-// locOfTrace adapts a materialised trace to the event-index → location
-// accessor startIntrospection renders race views through.
-func locOfTrace(tr *trace.Trace) func(int) string {
-	return func(i int) string { return tr.LocName(tr.Event(i).Loc) }
-}
-
 // startIntrospection binds Options.DebugAddr, serves the debug surface
 // for the run's duration and installs the /races feed: every completed
 // window's races (already provenance-stamped, in whole-trace
-// coordinates) are pushed as they merge, rendered through locOf (an
-// event-index → location-name accessor, so the feed works identically
-// over a materialised trace and an out-of-core reader). The feed chains
-// onto any hook already installed and leaves room for the journal
-// writer to chain after it, so observation and durability compose. The
-// caller owns the returned server and must Close it when the run ends.
-func startIntrospection(locOf func(int) string, opt *Options) (*introspect.Server, error) {
+// coordinates) are pushed as they merge, their locations read through
+// the run's trace source. The feed chains onto any hook already
+// installed and leaves room for the journal writer to chain after it, so
+// observation and durability compose. The caller owns the returned
+// server and must Close it when the run ends.
+func startIntrospection(src EventSource, opt *Options) (*introspect.Server, error) {
 	b := BuildInfo()
 	iopt := introspect.Options{
 		Collector: opt.col,
@@ -102,6 +94,18 @@ func startIntrospection(locOf func(int) string, opt *Options) (*introspect.Serve
 	addr, err := srv.Start(opt.DebugAddr)
 	if err != nil {
 		return nil, err
+	}
+	// Window workers finish concurrently under Parallelism, and a
+	// reader's random access is not safe for concurrent use.
+	var mu sync.Mutex
+	locOf := func(i int) string {
+		mu.Lock()
+		defer mu.Unlock()
+		e, err := src.Event(i)
+		if err != nil {
+			return "?"
+		}
+		return src.LocName(e.Loc)
 	}
 	prev := opt.onWindowDone
 	opt.onWindowDone = func(out race.WindowOutcome) {

@@ -126,3 +126,26 @@ func TestIntrospectionConcurrentWithDetection(t *testing.T) {
 		t.Error("span recorder captured nothing")
 	}
 }
+
+// TestIntrospectionReaderParallel: under Parallelism the /races feed
+// renders locations through an out-of-core reader from concurrently
+// finishing windows; the reader's chunk cache is not safe for concurrent
+// use, so this run under -race checks the feed serialises its reads, and
+// the observed report must equal an unobserved one.
+func TestIntrospectionReaderParallel(t *testing.T) {
+	tr := hammerFixture(64)
+	opt := rvpredict.Options{WindowSize: 8, Parallelism: 4, TraceReader: chunkedFixtureReader(t, tr)}
+	quiet, err := rvpredict.Run(nil, nil, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.TraceReader = chunkedFixtureReader(t, tr)
+	opt.DebugAddr = "127.0.0.1:0"
+	observed, err := rvpredict.Run(nil, nil, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(observed.Races, quiet.Races) {
+		t.Errorf("observation changed the result:\n got %+v\nwant %+v", observed.Races, quiet.Races)
+	}
+}

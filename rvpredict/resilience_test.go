@@ -30,14 +30,17 @@ func racyWindows() *trace.Trace {
 	return b.Trace()
 }
 
-func TestDetectContextPreCancelled(t *testing.T) {
+func TestRunPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, algo := range []rvpredict.Algorithm{
 		rvpredict.MaximalCF, rvpredict.SaidEtAl, rvpredict.CausallyPrecedes,
 		rvpredict.HappensBefore, rvpredict.QuickCheck,
 	} {
-		rep := rvpredict.DetectContext(ctx, fixtures.Figure1(), rvpredict.Options{Algorithm: algo})
+		rep, err := rvpredict.Run(ctx, fixtures.Figure1(), rvpredict.Options{Algorithm: algo})
+		if err != nil {
+			t.Fatalf("%v: %v", algo, err)
+		}
 		if !rep.Interrupted {
 			t.Errorf("%v: Interrupted = false on pre-cancelled ctx", algo)
 		}
@@ -53,14 +56,20 @@ func TestDetectContextPreCancelled(t *testing.T) {
 	}
 }
 
-func TestDetectContextNilAndLive(t *testing.T) {
+func TestRunNilAndLive(t *testing.T) {
 	//lint:ignore SA1012 nil-ctx tolerance is the documented contract
-	rep := rvpredict.DetectContext(nil, fixtures.Figure1(), rvpredict.Options{})
+	rep, err := rvpredict.Run(nil, fixtures.Figure1(), rvpredict.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if rep.Interrupted || len(rep.Races) != 1 {
 		t.Fatalf("nil ctx: interrupted=%v races=%d, want clean single-race report",
 			rep.Interrupted, len(rep.Races))
 	}
-	rep2 := rvpredict.DetectContext(context.Background(), fixtures.Figure1(), rvpredict.Options{})
+	rep2, err := rvpredict.Run(context.Background(), fixtures.Figure1(), rvpredict.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rep2.Races) != len(rep.Races) {
 		t.Fatal("Background ctx and nil ctx must agree")
 	}

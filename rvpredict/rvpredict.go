@@ -4,7 +4,7 @@
 //
 // Given one observed, sequentially consistent execution trace (built with
 // repro/trace, produced by the repro/minilang interpreter, or decoded from
-// a trace file), Detect explores every reordering permitted by the paper's
+// a trace file), Run explores every reordering permitted by the paper's
 // maximal causal model and reports each conflicting pair of accesses that
 // some feasible reordering schedules back to back. Every reported race is
 // real (soundness, Theorem 1/3) and no sound detector working from the
@@ -17,10 +17,16 @@
 // one loop.
 //
 //	tr := trace.NewBuilder(). … .Trace()
-//	report := rvpredict.Detect(tr, rvpredict.Options{Witness: true})
+//	report, err := rvpredict.Run(ctx, tr, rvpredict.Options{Witness: true})
+//	if err != nil {
+//		return err
+//	}
 //	for _, r := range report.Races {
 //		fmt.Println(r.Description)
 //	}
+//
+// Run is the one validated entry point; Detect is Run for callers whose
+// options are fixed and valid.
 package rvpredict
 
 import (
@@ -41,6 +47,7 @@ import (
 	"repro/internal/race"
 	"repro/internal/said"
 	"repro/internal/telemetry"
+	"repro/internal/tracev2"
 	"repro/trace"
 )
 
@@ -130,7 +137,7 @@ const (
 	OutcomeCancelled      = telemetry.OutcomeCancelled
 )
 
-// Options configures Detect. The zero value runs the paper's algorithm
+// Options configures Run. The zero value runs the paper's algorithm
 // with its defaults: 10K-event windows and a 60-second per-pair solver
 // timeout.
 type Options struct {
@@ -226,9 +233,7 @@ type Options struct {
 	// (server-sent candidate-funnel events), /races (the races found so
 	// far with their provenance) and /debug/pprof — on this TCP address
 	// for the duration of the run. ":0" binds an ephemeral port;
-	// OnDebugAddr reports what was bound. Honoured by Run, the
-	// validating entry point (Detect/DetectContext ignore it). Purely
-	// observational: excluded from the journal fingerprint, never
+	// OnDebugAddr reports what was bound. Purely observational: excluded from the journal fingerprint, never
 	// changes what is detected. The /races feed follows the MaximalCF
 	// window-completion hook; baseline algorithms expose metrics only.
 	DebugAddr string
@@ -238,18 +243,18 @@ type Options struct {
 	OnDebugAddr func(addr string)
 	// TraceReader, when non-nil, supplies the trace out-of-core instead
 	// of the tr argument (which must then be nil): Run analyses windows
-	// streamed from the reader — O(window + chunk) events live, never
-	// the whole trace — and renders the report through the reader's
-	// random-access path. Implemented by internal/tracev2's chunked-file
-	// Reader and its in-memory adapter. MaximalCF analyses out-of-core;
-	// baseline algorithms materialise the trace via ReadAll first.
-	// Honoured by Run only. Every window is analysed with fresh
-	// per-window signature state (core.AnalyseWindow with no skip hint),
-	// so the report carries the same races as the batch path but counts
-	// solver work per window; Parallelism is ignored.
+	// streamed from the reader — O(window + chunk) events live per
+	// window worker, never the whole trace — and renders the report
+	// through the reader's random-access path. Implemented by
+	// internal/tracev2's chunked-file Reader and its in-memory adapter.
+	// MaximalCF analyses out-of-core; baseline algorithms materialise the
+	// trace via ReadAll first. Every window is analysed with fresh
+	// per-window signature state (no skip hint, see Run's skip rule), so
+	// the report carries the same races as the in-memory path but counts
+	// solver work per window.
 	TraceReader TraceReader
-	// Shards, when > 0, enables deterministic window sharding over the
-	// reader path (MaximalCF via Run only): this process analyses only
+	// Shards, when > 0, enables deterministic window sharding (MaximalCF
+	// only): this process analyses only
 	// the windows whose index ≡ ShardID (mod Shards) and journals their
 	// outcomes, so N cooperating processes — each with its own Journal —
 	// cover the trace. MergeShards combines the shard journals into one
@@ -281,9 +286,8 @@ type Options struct {
 	Collector *telemetry.Collector
 
 	// onWindowDone and resumeWindows are the journal plumbing installed
-	// by Run; col carries Run's pre-created collector so the journal
-	// writer and the detector share one. DetectContext passes them
-	// through untouched.
+	// by Run and MergeShards; col carries the run's collector so the
+	// journal writer and the detector share one.
 	onWindowDone  func(race.WindowOutcome)
 	resumeWindows map[int]race.WindowOutcome
 	col           *telemetry.Collector
@@ -309,8 +313,7 @@ func (e *OptionsError) Error() string {
 
 // Validate checks the options for combinations with no defined meaning
 // and returns an *OptionsError naming the first offending field, or nil.
-// Detect and DetectContext remain lenient for compatibility (they clamp
-// instead of failing); Run validates up front so misconfigurations fail
+// Run (and so Detect) validates up front, so misconfigurations fail
 // loudly instead of producing undefined downstream behaviour.
 func (o Options) Validate() error {
 	if o.WindowSize < -1 {
@@ -450,7 +453,7 @@ type Race struct {
 	Provenance Provenance `json:"provenance"`
 }
 
-// Report is the result of one Detect call.
+// Report is the result of one Run.
 type Report struct {
 	// Algorithm that produced the report.
 	Algorithm Algorithm `json:"algorithm"`
@@ -460,7 +463,8 @@ type Report struct {
 	Stats trace.Stats `json:"stats"`
 	// PairsChecked counts conflicting pairs examined.
 	PairsChecked int `json:"pairs_checked"`
-	// Windows is the number of analysis windows.
+	// Windows is the number of analysis windows this run owns: every
+	// window of the trace's layout, or a sharded run's share of them.
 	Windows int `json:"windows"`
 	// SolverTimeouts counts pairs abandoned at the solver budget.
 	SolverTimeouts int `json:"solver_timeouts"`
@@ -470,7 +474,7 @@ type Report struct {
 	// scheduler (Options.FirstPassTimeout; MaximalCF only).
 	PairsRetried int `json:"pairs_retried,omitempty"`
 	// Interrupted reports the run was cut short by context cancellation
-	// (DetectContext / SIGINT in the CLI). The races listed are all real,
+	// (Run's ctx / SIGINT in the CLI). The races listed are all real,
 	// but coverage is partial: only the work completed before the
 	// interrupt is reflected. Always present in JSON so consumers can
 	// rely on the key.
@@ -512,70 +516,121 @@ type WindowFailure struct {
 	Stack string `json:"stack,omitempty"`
 }
 
-// Detect runs the selected race detection technique over tr.
+// Detect runs the selected race detection technique over tr: Run under
+// context.Background(), panicking — like regexp.MustCompile — on the
+// error Run returns for invalid options or a nil trace. Runs that can
+// fail for environmental reasons (a Journal, a DebugAddr) belong to Run.
 //
 // The input trace must be sequentially consistent (trace.Validate); the
 // detectors otherwise return results for the prefix semantics they can
 // reconstruct. Detect never modifies tr.
 func Detect(tr *trace.Trace, opt Options) Report {
-	return DetectContext(context.Background(), tr, opt)
+	rep, err := Run(context.Background(), tr, opt)
+	if err != nil {
+		panic(err)
+	}
+	return rep
 }
 
-// Run is the validating, journal-aware entry point: it rejects invalid
-// options with an *OptionsError, and when Options.Journal is set it
-// makes the run crash-safe — every completed window's outcome is
-// appended to the journal, and with Options.Resume the journaled windows
-// are replayed instead of re-analysed, producing a report identical to
-// an uninterrupted run's while issuing strictly fewer solver queries.
-// Detection errors (an unreadable journal, a fingerprint mismatch) are
-// returned, not absorbed. Without Journal, Run is DetectContext plus
-// validation. A nil ctx is treated as context.Background().
+// Run is the one validated entry point. It rejects invalid options with
+// an *OptionsError and analyses exactly one trace source: tr, or
+// Options.TraceReader (tr must then be nil). Every algorithm reads the
+// trace through that source, and every report is rendered through it.
+//
+// Cancelling ctx interrupts the run — the context is polled between
+// windows, between pairs and inside the solver's search loop — and the
+// partial report is returned with Interrupted set; every race in it is
+// still real. When Options.Journal is set the run is crash-safe: every
+// completed window's outcome is appended to the journal, and with
+// Options.Resume the journaled windows are replayed instead of
+// re-analysed, producing a report identical to an uninterrupted run's
+// while issuing strictly fewer solver queries. Detection errors (an
+// unreadable journal, a fingerprint mismatch, a failing reader) are
+// returned, not absorbed. A nil ctx is treated as context.Background().
 func Run(ctx context.Context, tr *trace.Trace, opt Options) (Report, error) {
 	if err := opt.Validate(); err != nil {
 		return Report{}, err
 	}
-	if opt.TraceReader != nil || opt.Shards > 0 {
-		return runReader(ctx, tr, opt)
+	src := opt.TraceReader
+	switch {
+	case src == nil && tr == nil:
+		return Report{}, &OptionsError{Field: "TraceReader", Reason: "no trace source: set TraceReader or pass a non-nil trace"}
+	case src != nil && tr != nil:
+		return Report{}, &OptionsError{Field: "TraceReader", Reason: "both TraceReader and a materialised trace were supplied; pass exactly one"}
+	case src == nil:
+		src = tracev2.FromTrace(tr)
+	}
+	return run(ctx, src, opt)
+}
+
+// run is the one driver behind Run and MergeShards: it wires telemetry,
+// introspection and the journal around src, analyses it and renders the
+// report through it.
+func run(ctx context.Context, src TraceReader, opt Options) (Report, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	opt = opt.normalise()
+	if opt.col == nil {
+		opt.col = newCollector(opt)
+	}
+	col := opt.col
+	if at, ok := src.(interface{ AttachTelemetry(*telemetry.Collector) }); ok {
+		at.AttachTelemetry(col)
 	}
 	if opt.DebugAddr != "" {
-		if opt.col == nil {
-			opt.col = newCollector(opt)
-		}
-		srv, err := startIntrospection(locOfTrace(tr), &opt)
+		srv, err := startIntrospection(src, &opt)
 		if err != nil {
 			return Report{}, err
 		}
 		defer srv.Close()
 	}
-	if opt.Journal == "" {
-		return DetectContext(ctx, tr, opt), nil
+	finish := func() error { return nil }
+	if opt.Journal != "" {
+		fp := journal.Fingerprint{
+			Trace:   src.ContentHash(),
+			Options: journal.OptionsFingerprint(opt.fingerprintString()),
+		}
+		var err error
+		if finish, err = attachJournalWriter(&opt, fp, col); err != nil {
+			return Report{}, err
+		}
 	}
-	return detectJournalled(ctx, tr, opt)
-}
-
-// detectJournalled wires a journal writer (and, on resume, the recovered
-// outcomes) into the core detector's window-completion hook, then runs
-// the ordinary detection path.
-func detectJournalled(ctx context.Context, tr *trace.Trace, opt Options) (Report, error) {
-	traceFP, err := journal.TraceFingerprint(tr)
+	// The run span is the root of the exported timeline: everything the
+	// detectors record (windows, phases, workers, journal fsyncs) parents
+	// onto it via SpanRoot.
+	runSpan := col.BeginSpan("run", telemetry.RunLane(), 0)
+	col.Spans().SetRoot(runSpan.ID())
+	res, err := detect(ctx, src, opt)
+	if jerr := finish(); err == nil {
+		err = jerr
+	}
 	if err != nil {
+		runSpan.End()
 		return Report{}, err
 	}
-	fp := journal.Fingerprint{
-		Trace:   traceFP,
-		Options: journal.OptionsFingerprint(opt.fingerprintString()),
+	scan := col.StartPhase(telemetry.PhaseTraceScan)
+	stats := src.Stats()
+	scan.End()
+	runSpan.End()
+	var tele *Telemetry
+	if opt.Telemetry {
+		// The collector may exist solely for DebugAddr/Spans; the report
+		// carries a snapshot only when telemetry was asked for.
+		tele = col.Snapshot()
 	}
-	col := opt.col
-	if col == nil {
-		col = newCollector(opt)
+	var races []Race
+	for _, r := range res.Races {
+		pr, err := RenderRace(src, r, opt)
+		if err != nil {
+			return Report{}, err
+		}
+		races = append(races, pr)
 	}
-	opt.col = col
-	finish, err := attachJournalWriter(&opt, fp, col)
-	if err != nil {
-		return Report{}, err
-	}
-	rep := DetectContext(ctx, tr, opt)
-	return rep, finish()
+	res.Windows = windowsOwned(src.NumEvents(), opt)
+	rep := NewReport(opt, res, stats, races)
+	rep.Telemetry = tele
+	return rep, nil
 }
 
 // attachJournalWriter opens (or resumes) the journal at opt.Journal,
@@ -585,8 +640,7 @@ func detectJournalled(ctx context.Context, tr *trace.Trace, opt Options) (Report
 // concurrently under Parallelism > 1 (the writer locks internally); the
 // first append error is kept and surfaced by the returned finish
 // function — a race that could not be made durable must not be silently
-// undurable. Shared by the in-memory path (detectJournalled) and the
-// out-of-core reader path (runReader).
+// undurable.
 func attachJournalWriter(opt *Options, fp journal.Fingerprint, col *telemetry.Collector) (finish func() error, err error) {
 	gc := opt.JournalGroupCommit
 	if gc == 0 {
@@ -647,52 +701,114 @@ func attachJournalWriter(opt *Options, fp journal.Fingerprint, col *telemetry.Co
 	}, nil
 }
 
-// DetectContext is Detect under a context: cancelling ctx interrupts the
-// run — the context is polled between windows, between pairs and inside
-// the solver's search loop — and the partial report is returned with
-// Interrupted set. Every race in a partial report is still real; only
-// coverage is affected. A nil ctx is treated as context.Background().
-func DetectContext(ctx context.Context, tr *trace.Trace, opt Options) Report {
-	if ctx == nil {
-		ctx = context.Background()
+// detect runs the selected algorithm over src. MaximalCF streams the
+// source's windows through core's one window loop; the baselines hold
+// whole-trace vector-clock state, so they materialise the trace.
+//
+// The skip rule: windows carry signature state across the run — a
+// signature already reported is not solved again — unless the run reads
+// through Options.TraceReader or is sharded (MergeShards included).
+// Those runs analyse every window on its own content alone, so any
+// assignment of windows to processes merges to the same report.
+func detect(ctx context.Context, src TraceReader, opt Options) (race.Result, error) {
+	switch opt.Algorithm {
+	case SaidEtAl, CausallyPrecedes, HappensBefore, QuickCheck:
+		return detectBaseline(ctx, src, opt)
 	}
-	opt = opt.normalise()
-	col := opt.col
-	if col == nil {
-		col = newCollector(opt)
+	windows := func(yield func(w *trace.Trace, widx, offset int) error) error {
+		return src.Windows(opt.WindowSize, func(w *trace.Trace, widx, offset int) error {
+			if opt.Shards > 0 {
+				owned := widx%opt.Shards == opt.ShardID
+				opt.col.CountShardWindow(owned)
+				if !owned {
+					return nil
+				}
+			}
+			return yield(w, widx, offset)
+		})
 	}
-	// The run span is the root of the exported timeline: everything the
-	// detectors record (windows, phases, workers, journal fsyncs) parents
-	// onto it via SpanRoot.
-	runSpan := col.BeginSpan("run", telemetry.RunLane(), 0)
-	col.Spans().SetRoot(runSpan.ID())
-	var det interface {
-		DetectContext(ctx context.Context, tr *trace.Trace) race.Result
+	carry := opt.TraceReader == nil && opt.Shards == 0
+	return core.New(opt.CoreOptions(opt.col)).Analyse(ctx, windows, carry)
+}
+
+// detectBaseline runs a baseline algorithm over the materialised trace.
+func detectBaseline(ctx context.Context, src TraceReader, opt Options) (race.Result, error) {
+	tr, err := src.ReadAll()
+	if err != nil {
+		return race.Result{}, err
 	}
+	if ctx.Err() != nil {
+		return race.Result{Cancelled: true}, nil
+	}
+	var res race.Result
 	switch opt.Algorithm {
 	case SaidEtAl:
-		det = said.New(said.Options{
+		return said.New(said.Options{
 			WindowSize:   opt.WindowSize,
 			SolveTimeout: opt.SolveTimeout,
 			MaxConflicts: opt.MaxConflicts,
 			Witness:      opt.Witness,
-		})
+		}).DetectContext(ctx, tr), nil
 	case CausallyPrecedes:
-		det = uncancellable{cp.New(cp.Options{WindowSize: opt.WindowSize})}
+		res = cp.New(cp.Options{WindowSize: opt.WindowSize}).Detect(tr)
 	case HappensBefore:
-		det = uncancellable{hb.New(hb.Options{WindowSize: opt.WindowSize})}
-	case QuickCheck:
-		det = uncancellable{lockset.New(lockset.Options{WindowSize: opt.WindowSize})}
-	default:
-		det = core.New(opt.CoreOptions(col))
+		res = hb.New(hb.Options{WindowSize: opt.WindowSize}).Detect(tr)
+	default: // QuickCheck
+		res = lockset.New(lockset.Options{WindowSize: opt.WindowSize}).Detect(tr)
 	}
-	res := det.DetectContext(ctx, tr)
-	scan := col.StartPhase(telemetry.PhaseTraceScan)
-	stats := tr.ComputeStats()
-	scan.End()
-	runSpan.End()
+	// The vector-clock passes have no solver to interrupt: the context is
+	// honoured at whole-run granularity.
+	res.Cancelled = ctx.Err() != nil
+	return res, nil
+}
+
+// windowsOwned is Report.Windows: the number of windows of the trace's
+// layout this run owns — all of them, or under Shards every window whose
+// index ≡ ShardID (mod Shards).
+func windowsOwned(events int, opt Options) int {
+	n := 1
+	if opt.WindowSize > 0 && events > opt.WindowSize {
+		n = (events + opt.WindowSize - 1) / opt.WindowSize
+	}
+	if opt.Shards > 0 {
+		return (n - opt.ShardID + opt.Shards - 1) / opt.Shards
+	}
+	return n
+}
+
+// RenderRace is the one race renderer: it builds the public Race from a
+// detector race, reading both events and their location names through
+// src — a run's trace source, or the streaming daemon's window while its
+// events are still in memory. Exported for internal/stream, like
+// CoreOptions.
+func RenderRace(src EventSource, r race.Race, opt Options) (Race, error) {
+	a, err := src.Event(r.A)
+	if err != nil {
+		return Race{}, fmt.Errorf("rvpredict: rendering race event %d: %w", r.A, err)
+	}
+	b, err := src.Event(r.B)
+	if err != nil {
+		return Race{}, fmt.Errorf("rvpredict: rendering race event %d: %w", r.B, err)
+	}
+	locA, locB := src.LocName(a.Loc), src.LocName(b.Loc)
+	return Race{
+		First:       r.A,
+		Second:      r.B,
+		Locations:   [2]string{locA, locB},
+		Description: race.DescribePair(locA, locB, a, b),
+		Witness:     r.Witness,
+		Provenance:  publicProvenance(r, opt),
+	}, nil
+}
+
+// NewReport is the one report builder: it carries res's counters, flags
+// and window failures into a Report over the trace's stats and the races
+// RenderRace rendered. Telemetry and DegradedWindows are the caller's.
+// Exported for internal/stream, like CoreOptions.
+func NewReport(opt Options, res race.Result, stats trace.Stats, races []Race) Report {
 	rep := Report{
 		Algorithm:       opt.Algorithm,
+		Races:           races,
 		Stats:           stats,
 		PairsChecked:    res.COPsChecked,
 		Windows:         res.Windows,
@@ -703,34 +819,16 @@ func DetectContext(ctx context.Context, tr *trace.Trace, opt Options) Report {
 		BudgetExhausted: res.BudgetExhausted,
 		Build:           BuildInfo(),
 	}
-	if opt.Telemetry {
-		// The collector may exist solely for DebugAddr/Spans; the report
-		// carries a snapshot only when telemetry was asked for.
-		rep.Telemetry = col.Snapshot()
-	}
 	for _, f := range res.Failures {
 		rep.WindowFailures = append(rep.WindowFailures, WindowFailure(f))
-	}
-	for _, r := range res.Races {
-		rep.Races = append(rep.Races, Race{
-			First:  r.A,
-			Second: r.B,
-			Locations: [2]string{
-				tr.LocName(tr.Event(r.A).Loc),
-				tr.LocName(tr.Event(r.B).Loc),
-			},
-			Description: r.Describe(tr),
-			Witness:     r.Witness,
-			Provenance:  publicProvenance(r, opt),
-		})
 	}
 	return rep
 }
 
 // CoreOptions maps the options onto the MaximalCF detector's, with col
-// as its telemetry collector: the one mapping behind every driver — the
-// batch and reader paths here, the streaming session and the fleet
-// worker — so a window analysed by any of them sees the same
+// as its telemetry collector: the one mapping behind every driver — Run
+// here, the streaming session and the fleet worker — so a window
+// analysed by any of them sees the same
 // configuration. The options must already be Normalised (normalising
 // twice would turn a whole-trace window into the default size).
 func (o Options) CoreOptions(col *telemetry.Collector) core.Options {
@@ -777,24 +875,6 @@ func publicProvenance(r race.Race, opt Options) race.Provenance {
 	}
 	p.WitnessLen = len(r.Witness)
 	return p
-}
-
-// uncancellable adapts the vector-clock detectors — fast, purely
-// combinatorial passes with no solver to interrupt — to the context-aware
-// detector interface. The context is still honoured at the whole-run
-// granularity: a context already cancelled on entry yields an empty
-// interrupted result.
-type uncancellable struct{ d race.Detector }
-
-func (u uncancellable) DetectContext(ctx context.Context, tr *trace.Trace) race.Result {
-	if ctx != nil && ctx.Err() != nil {
-		return race.Result{Cancelled: true}
-	}
-	res := u.d.Detect(tr)
-	if ctx != nil && ctx.Err() != nil {
-		res.Cancelled = true
-	}
-	return res
 }
 
 // newCollector returns a live collector when any observation surface

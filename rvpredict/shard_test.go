@@ -141,6 +141,17 @@ func TestShardMergeBitIdentical(t *testing.T) {
 			t.Errorf("shards=%d: merged report differs from single-process run:\nmerged: %s\nsingle: %s",
 				shards, got, want)
 		}
+		popt := shardOpts()
+		popt.TraceReader = chunkedFixtureReader(t, tr)
+		popt.Parallelism = 4
+		par, err := rvpredict.Run(nil, nil, popt)
+		if err != nil {
+			t.Fatalf("shards=%d: parallel single: %v", shards, err)
+		}
+		if got, want := normalise(t, par), normalise(t, single); got != want {
+			t.Errorf("shards=%d: Parallelism 4 reader run differs from Parallelism 1:\npar:    %s\nsingle: %s",
+				shards, got, want)
+		}
 		if len(merged.Races) == 0 {
 			t.Fatalf("shards=%d: merged report has no races", shards)
 		}
@@ -366,6 +377,12 @@ func TestShardValidate(t *testing.T) {
 	opt.TraceReader = chunkedFixtureReader(t, shardFixture())
 	if _, err := rvpredict.Run(nil, shardFixture(), opt); err == nil {
 		t.Error("Run accepted both TraceReader and a materialised trace")
+	}
+	for _, algo := range []rvpredict.Algorithm{rvpredict.MaximalCF, rvpredict.HappensBefore} {
+		var oe *rvpredict.OptionsError
+		if _, err := rvpredict.Run(nil, nil, rvpredict.Options{Algorithm: algo}); !errors.As(err, &oe) || oe.Field != "TraceReader" {
+			t.Errorf("unsharded %v with no trace source: err = %v, want OptionsError on TraceReader", algo, err)
+		}
 	}
 }
 

@@ -8,6 +8,11 @@ measured by GNU time around the whole run), and a `results` array with
 one entry per benchmark line — name, iteration count, ns/op, and any
 extra ReportMetric pairs under `metrics`.
 
+On a multi-core host `go test -bench` appends a `-<GOMAXPROCS>` suffix to
+every name (`BenchmarkDetect/example/RV-2`). The suffix is stripped so
+snapshots from hosts of any core count share benchmark names, and its
+value is recorded as `gomaxprocs` in the header.
+
 Usage: bench_to_json.py [benchtime] [--peak-rss-kb KB] < bench.out
 """
 
@@ -39,8 +44,13 @@ def main() -> None:
         fields = line.split()
         if len(fields) < 4 or fields[3] != "ns/op":
             continue
+        name = fields[0]
+        m = re.match(r"^(.*)-(\d+)$", name)
+        if m:
+            name = m.group(1)
+            meta["gomaxprocs"] = int(m.group(2))
         entry = {
-            "name": fields[0],
+            "name": name,
             "iterations": int(fields[1]),
             "ns_per_op": float(fields[2]),
         }
