@@ -771,10 +771,10 @@ func printTelemetry(w io.Writer, t *rvpredict.Telemetry) {
 		return time.Duration(ns).Round(10 * time.Microsecond).String()
 	}
 	fmt.Fprintln(w, "--- stats ---")
-	fmt.Fprintf(w, "phases: scan %s, enumerate %s, mhb %s, quick-check %s, encode %s, solve %s, witness %s\n",
+	fmt.Fprintf(w, "phases: scan %s, enumerate %s, mhb %s, quick-check %s, encode %s, checkpoint %s, solve %s, witness %s\n",
 		ms(t.Phases.TraceScan), ms(t.Phases.Enumerate), ms(t.Phases.MHB),
-		ms(t.Phases.QuickCheck), ms(t.Phases.Encode), ms(t.Phases.Solve),
-		ms(t.Phases.Witness))
+		ms(t.Phases.QuickCheck), ms(t.Phases.Encode), ms(t.Phases.Checkpoint),
+		ms(t.Phases.Solve), ms(t.Phases.Witness))
 	o := t.Outcomes
 	fmt.Fprintf(w, "candidates: %d enumerated, %d quick-check filtered, %d MHB filtered, %d dedup hits\n",
 		o.Enumerated, o.QuickCheckFiltered, o.MHBFiltered, o.SigDedupHits)

@@ -720,9 +720,42 @@ type windowSolver struct {
 
 	// ck is the canonical base state (base constraints + warmed cf
 	// definitions); dirty tracks whether the solver has diverged from it
-	// since the last rollback.
-	ck    *smt.Checkpoint
-	dirty bool
+	// since the last rollback. cfDefs is the number of cf definitions the
+	// checkpoint holds: cf keeps its memo across rollbacks, so a
+	// definition created after the checkpoint would name a discarded SAT
+	// variable after the next one (see prepare).
+	ck     *smt.Checkpoint
+	dirty  bool
+	cfDefs int
+	// lane is the owning pair worker's timeline lane, for the checkpoint
+	// and rollback spans.
+	lane int32
+}
+
+// checkpoint records the replica's canonical base state, timed as the
+// checkpoint phase; parent is the span it nests in.
+func (ws *windowSolver) checkpoint(col *telemetry.Collector, parent uint64) {
+	span := col.StartPhase(telemetry.PhaseCheckpoint)
+	sp := col.BeginSpan("checkpoint", ws.lane, parent)
+	ws.ck = ws.s.Checkpoint()
+	sp.End()
+	span.End()
+	ws.cfDefs = ws.cf.Defined()
+}
+
+// rollback returns the replica to its checkpoint if a query has touched
+// it since, timed as the checkpoint phase; parent is the span it nests in.
+func (ws *windowSolver) rollback(col *telemetry.Collector, parent uint64) {
+	if !ws.dirty {
+		return
+	}
+	span := col.StartPhase(telemetry.PhaseCheckpoint)
+	sp := col.BeginSpan("rollback", ws.lane, parent)
+	ws.s.Rollback(ws.ck)
+	sp.End()
+	span.End()
+	ws.dirty = false
+	col.CountPairRollback()
 }
 
 func (d *Detector) newWindowSolver(w *trace.Trace, mhb *vc.MHB) *windowSolver {
@@ -741,11 +774,18 @@ func (d *Detector) newWindowSolver(w *trace.Trace, mhb *vc.MHB) *windowSolver {
 	return ws
 }
 
-// prepare encodes one COP's guarded race constraint on the shared window
-// solver and returns the guard literal to assume. The guard persists, so
-// a pair deferred by the two-pass scheduler is re-solved later by assuming
-// the same guard with a bigger budget — no re-encoding. ok is false when
-// the encoding itself proves the pair impossible (treated as unsat).
+// prepare encodes one COP's guarded race constraint on the checkpointed
+// window solver and returns the guard literal to assume. The guard
+// persists, so a pair deferred by the two-pass scheduler is re-solved
+// later by assuming the same guard with a bigger budget — no re-encoding.
+// ok is false when the encoding itself proves the pair impossible
+// (treated as unsat).
+//
+// The pair's cf cone must already be in the checkpoint (buildReplica
+// warms every instance's cone): a cf definition created here would be
+// memoised past the next rollback while its SAT variable is discarded.
+// prepare panics if that happens; like any solver panic it drops only
+// this window.
 func (ws *windowSolver) prepare(d *Detector, cop race.COP) (g sat.Lit, ok bool) {
 	if ws.bad {
 		return 0, false
@@ -754,13 +794,14 @@ func (ws *windowSolver) prepare(d *Detector, cop race.COP) (g sat.Lit, ok bool) 
 	span := col.StartPhase(telemetry.PhaseEncode)
 	defer span.End()
 	g = ws.s.NewBoolLit()
-	if err := ws.s.Implies(g, ws.enc.Adjacent(cop.A, cop.B)); err != nil {
-		return 0, false
+	ok = ws.s.Implies(g, ws.enc.Adjacent(cop.A, cop.B)) == nil &&
+		ws.s.Implies(g, ws.cf.ControlFlow(cop.A)) == nil &&
+		ws.s.Implies(g, ws.cf.ControlFlow(cop.B)) == nil
+	if n := ws.cf.Defined(); n != ws.cfDefs {
+		panic(fmt.Sprintf("core: COP (%d,%d) added %d cf definitions after the window checkpoint",
+			cop.A, cop.B, n-ws.cfDefs))
 	}
-	if err := ws.s.Implies(g, ws.cf.ControlFlow(cop.A)); err != nil {
-		return 0, false
-	}
-	if err := ws.s.Implies(g, ws.cf.ControlFlow(cop.B)); err != nil {
+	if !ok {
 		return 0, false
 	}
 	return g, true

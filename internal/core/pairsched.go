@@ -169,8 +169,9 @@ func (d *Detector) partition(w *trace.Trace, cops []race.COP, skip func(race.Sig
 // then the control-flow definitions of every instance any group could
 // prepare, in canonical order, then the checkpoint. Every replica runs the
 // identical construction sequence, so all replicas are bit-identical and a
-// group solved after Rollback sees the same state on any worker.
-func (d *Detector) buildReplica(wc *windowCtx, groups []*sigGroup) *windowSolver {
+// group solved after Rollback sees the same state on any worker. lane is
+// the worker's timeline lane and parent the span the checkpoint nests in.
+func (d *Detector) buildReplica(wc *windowCtx, groups []*sigGroup, lane int32, parent uint64) *windowSolver {
 	ws := d.newWindowSolver(wc.w, wc.mhb)
 	ws.s.SetCancel(wc.cancel)
 	if !ws.bad {
@@ -183,7 +184,8 @@ func (d *Detector) buildReplica(wc *windowCtx, groups []*sigGroup) *windowSolver
 		}
 		span.End()
 	}
-	ws.ck = ws.s.Checkpoint()
+	ws.lane = lane
+	ws.checkpoint(d.opt.Telemetry, parent)
 	return ws
 }
 
@@ -249,6 +251,9 @@ func (d *Detector) solveGroups(wc *windowCtx, groups []*sigGroup) []*groupResult
 				break
 			}
 			gsp := col.BeginSpan(groupSpanName(col, "group", groups[i]), lane, wc.spanParent)
+			if ws != nil {
+				ws.rollback(col, gsp.ID())
+			}
 			results[i] = d.solveGroup(wc, ws, groups[i])
 			gsp.End()
 			col.CountGroupDone()
@@ -261,7 +266,7 @@ func (d *Detector) solveGroups(wc *windowCtx, groups []*sigGroup) []*groupResult
 				break
 			}
 			rsp := col.BeginSpan(groupSpanName(col, "retry", groups[i]), lane, wc.spanParent)
-			d.retryDeferred(wc, ws, groups[i], results[i])
+			d.retryDeferred(wc, ws, groups[i], results[i], rsp.ID())
 			rsp.End()
 		}
 		if ws != nil {
@@ -290,7 +295,7 @@ func (d *Detector) solveGroups(wc *windowCtx, groups []*sigGroup) []*groupResult
 				col.CountPairReplica()
 			}
 			rsp := col.BeginSpan("encode replica", lane, wc.spanParent)
-			ws = d.buildReplica(wc, groups)
+			ws = d.buildReplica(wc, groups, lane, rsp.ID())
 			rsp.End()
 		}
 		runWorker(ws, lane)
@@ -335,20 +340,15 @@ func groupSpanName(col *telemetry.Collector, kind string, g *sigGroup) string {
 	return fmt.Sprintf("%s %d:%d ×%d", kind, g.sig.First, g.sig.Second, len(g.cops))
 }
 
-// solveGroup decides one signature group from the canonical base state:
-// instances are attempted in enumeration order until one is satisfiable
-// (a race) or the run is cancelled. The group's result depends only on
-// the checkpointed base and the group itself, never on the worker or on
-// other groups.
+// solveGroup decides one signature group from the canonical base state
+// (the caller rolls ws back first): instances are attempted in
+// enumeration order until one is satisfiable (a race) or the run is
+// cancelled. The group's result depends only on the checkpointed base and
+// the group itself, never on the worker or on other groups.
 func (d *Detector) solveGroup(wc *windowCtx, ws *windowSolver, g *sigGroup) *groupResult {
 	col := d.opt.Telemetry
 	tracer := d.opt.Tracer
 	gr := &groupResult{}
-	if ws != nil && ws.dirty {
-		ws.s.Rollback(ws.ck)
-		ws.dirty = false
-		col.CountPairRollback()
-	}
 	passTimeout := d.passOneTimeout()
 	for k, cop := range g.cops {
 		if wc.ctx.Err() != nil {
@@ -464,8 +464,9 @@ func (d *Detector) solveGroup(wc *windowCtx, ws *windowSolver, g *sigGroup) *gro
 // drained. Each pair's preparation is replayed from the checkpoint — the
 // replay allocates the identical guard literal the first pass used — and
 // re-solved with budgets growing geometrically up to SolveTimeout, clipped
-// by the remaining global budget.
-func (d *Detector) retryDeferred(wc *windowCtx, ws *windowSolver, g *sigGroup, gr *groupResult) {
+// by the remaining global budget. parent is the retry span the rollbacks
+// nest in.
+func (d *Detector) retryDeferred(wc *windowCtx, ws *windowSolver, g *sigGroup, gr *groupResult, parent uint64) {
 	col := d.opt.Telemetry
 	tracer := d.opt.Tracer
 	for _, cop := range gr.deferred {
@@ -481,11 +482,7 @@ func (d *Detector) retryDeferred(wc *windowCtx, ws *windowSolver, g *sigGroup, g
 		}
 		var guard sat.Lit
 		if !d.opt.MergeRaceVars {
-			if ws.dirty {
-				ws.s.Rollback(ws.ck)
-				ws.dirty = false
-				col.CountPairRollback()
-			}
+			ws.rollback(col, parent)
 			ws.dirty = true
 			var hasG bool
 			guard, hasG = ws.prepare(d, cop)

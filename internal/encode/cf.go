@@ -48,6 +48,9 @@ func NewCF(enc *Encoder, s *smt.Solver, depWindow int) *CF {
 		depWindow: depWindow, lits: make(map[int]sat.Lit)}
 }
 
+// Defined returns the number of cf definitions built so far.
+func (c *CF) Defined() int { return len(c.lits) }
+
 func (c *CF) buildThreadIndex() {
 	if c.threadEvents != nil {
 		return

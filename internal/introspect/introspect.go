@@ -356,7 +356,8 @@ var metricDefs = []metricDef{
 			}{
 				{"trace_scan", p.TraceScan}, {"cop_enumeration", p.Enumerate},
 				{"mhb", p.MHB}, {"quick_check", p.QuickCheck},
-				{"encode", p.Encode}, {"solve", p.Solve}, {"witness", p.Witness},
+				{"encode", p.Encode}, {"checkpoint", p.Checkpoint},
+				{"solve", p.Solve}, {"witness", p.Witness},
 			}
 			out := make([]sample, len(phases))
 			for i, ph := range phases {

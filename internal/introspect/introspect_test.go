@@ -181,8 +181,8 @@ func TestMetricsScrape(t *testing.T) {
 	if got := len(families["rvpredict_queries_total"]); got != 5 {
 		t.Errorf("queries_total has %d outcome samples, want 5", got)
 	}
-	if got := len(families["rvpredict_phase_seconds_total"]); got != 7 {
-		t.Errorf("phase_seconds_total has %d phase samples, want 7", got)
+	if got := len(families["rvpredict_phase_seconds_total"]); got != 8 {
+		t.Errorf("phase_seconds_total has %d phase samples, want 8", got)
 	}
 	if got := get("rvpredict_build_info"); got != 1 {
 		t.Errorf("build_info = %v, want 1", got)

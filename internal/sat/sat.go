@@ -14,6 +14,8 @@ package sat
 import (
 	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 	"time"
 )
@@ -109,9 +111,16 @@ type Theory interface {
 var ErrUnsat = errors.New("sat: formula is unsatisfiable at root level")
 
 type clause struct {
-	lits    []Lit
+	lits []Lit
+	act  float64
+	// idx is the clause's position in Solver.clauses (problem clauses
+	// only): the key of its checkpointed literal order and watches.
+	idx     int32
 	learned bool
-	act     float64
+	// inline stores the literals of a binary problem clause (most of a
+	// window encoding), so lits shares the header's allocation and cache
+	// line; it fits in the struct's size class for free.
+	inline [2]Lit
 }
 
 type watcher struct {
@@ -211,12 +220,33 @@ type Solver struct {
 	abortCause AbortCause
 	rootUnsat  bool
 	model      []Value
+
+	// learntLimit is the learned-clause count that triggers reduceDB
+	// (maxLearnts; tests lower it to exercise the reduction).
+	learntLimit int
+
+	// litMark is AddClause's per-literal scratch mark (all false between
+	// calls); addBuf is its reusable normalisation buffer.
+	litMark []bool
+	addBuf  []Lit
+
+	// Change tracking against the latest checkpoint ck (nil before the
+	// first Checkpoint), so Rollback restores only what changed. Each is a
+	// bitset over ck's objects: watchDirty marks the watch lists (by Lit)
+	// whose contents differ from ck's, clauseDirty the checkpointed
+	// problem clauses (by index) whose literal order does, actDirty the
+	// variables whose activity does. Rollback scans them in index order,
+	// so the restore walks the snapshot arenas forwards.
+	ck          *Checkpoint
+	watchDirty  bitset
+	clauseDirty bitset
+	actDirty    bitset
 }
 
 // New returns an empty solver. If theory is nil the solver is a plain SAT
 // solver.
 func New(theory Theory) *Solver {
-	s := &Solver{varInc: 1, clauseInc: 1, theory: theory}
+	s := &Solver{varInc: 1, clauseInc: 1, theory: theory, learntLimit: maxLearnts}
 	s.heap.activity = &s.activity
 	return s
 }
@@ -230,6 +260,7 @@ func (s *Solver) NewVar() Var {
 	s.phase = append(s.phase, false)
 	s.activity = append(s.activity, 0)
 	s.watches = append(s.watches, nil, nil)
+	s.litMark = append(s.litMark, false, false)
 	s.heap.push(v)
 	return v
 }
@@ -268,25 +299,30 @@ func (s *Solver) AddClause(lits ...Lit) error {
 	if s.decisionLevel() != 0 {
 		panic("sat: AddClause above root level")
 	}
-	// Normalise: sort-free dedup and tautology/falsified-literal removal.
-	out := lits[:0:0]
-	seen := make(map[Lit]bool, len(lits))
+	// Normalise: sort-free dedup and tautology/falsified-literal removal,
+	// keeping first occurrences in order. litMark flags the literals
+	// kept so far, so the check is O(len(lits)) and allocation-free.
+	out := s.addBuf[:0]
+	drop := false
 	for _, l := range lits {
 		if int(l.Var()) >= len(s.assign) {
+			s.unmark(out)
 			panic("sat: literal references unallocated variable")
 		}
-		switch {
-		case seen[l]:
-			continue
-		case seen[l.Neg()]:
-			return nil // tautology
-		case s.value(l) == True:
-			return nil // already satisfied at root
-		case s.value(l) == False:
-			continue // cannot contribute
+		if s.litMark[l] || s.value(l) == False {
+			continue // duplicate, or cannot contribute
 		}
-		seen[l] = true
+		if s.litMark[l.Neg()] || s.value(l) == True {
+			drop = true // tautology, or already satisfied at root
+			break
+		}
+		s.litMark[l] = true
 		out = append(out, l)
+	}
+	s.unmark(out)
+	s.addBuf = out
+	if drop {
+		return nil
 	}
 	switch len(out) {
 	case 0:
@@ -300,18 +336,56 @@ func (s *Solver) AddClause(lits ...Lit) error {
 		}
 		return nil
 	}
-	c := &clause{lits: out}
+	c := &clause{idx: int32(len(s.clauses))}
+	if len(out) <= len(c.inline) {
+		c.lits = c.inline[:len(out)]
+		copy(c.lits, out)
+	} else {
+		c.lits = append([]Lit(nil), out...)
+	}
 	s.clauses = append(s.clauses, c)
 	s.watchClause(c)
 	return nil
 }
 
+// unmark clears AddClause's literal marks.
+func (s *Solver) unmark(lits []Lit) {
+	for _, l := range lits {
+		s.litMark[l] = false
+	}
+}
+
 func (s *Solver) watchClause(c *clause) {
 	// Watch the first two literals.
-	s.watches[c.lits[0].Neg()] = append(s.watches[c.lits[0].Neg()],
-		watcher{c: c, blocker: c.lits[1]})
-	s.watches[c.lits[1].Neg()] = append(s.watches[c.lits[1].Neg()],
-		watcher{c: c, blocker: c.lits[0]})
+	w0, w1 := c.lits[0].Neg(), c.lits[1].Neg()
+	s.watches[w0] = append(s.watches[w0], watcher{c: c, blocker: c.lits[1]})
+	s.watches[w1] = append(s.watches[w1], watcher{c: c, blocker: c.lits[0]})
+	s.touchWatch(w0)
+	s.touchWatch(w1)
+}
+
+// touchWatch records that watch list l no longer matches the latest
+// checkpoint, so the next Rollback restores it.
+func (s *Solver) touchWatch(l Lit) {
+	if s.ck != nil && int(l) < 2*s.ck.nVars {
+		s.watchDirty.set(int(l))
+	}
+}
+
+// touchClause records that c's literal order changed; the next Rollback
+// restores it if c is a checkpointed problem clause (learned and
+// post-checkpoint clauses are discarded instead).
+func (s *Solver) touchClause(c *clause) {
+	if s.ck != nil && !c.learned && int(c.idx) < s.ck.nClauses {
+		s.clauseDirty.set(int(c.idx))
+	}
+}
+
+// touchActivity records that v's activity changed.
+func (s *Solver) touchActivity(v Var) {
+	if s.ck != nil && int(v) < s.ck.nVars {
+		s.actDirty.set(int(v))
+	}
 }
 
 func (s *Solver) decisionLevel() int32 { return int32(len(s.trailLim)) }
@@ -340,6 +414,7 @@ func (s *Solver) propagate() *clause {
 		s.Stats.Propagations++
 		ws := s.watches[p]
 		kept := ws[:0]
+		changed := false // list p differs from how the scan found it
 		var conflict *clause
 		for wi := 0; wi < len(ws); wi++ {
 			w := ws[wi]
@@ -356,10 +431,12 @@ func (s *Solver) propagate() *clause {
 			np := p.Neg()
 			if c.lits[0] == np {
 				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
+				s.touchClause(c)
 			}
 			first := c.lits[0]
 			if first != w.blocker && s.value(first) == True {
 				kept = append(kept, watcher{c: c, blocker: first})
+				changed = true
 				continue
 			}
 			// Look for a new literal to watch.
@@ -367,18 +444,23 @@ func (s *Solver) propagate() *clause {
 			for k := 2; k < len(c.lits); k++ {
 				if s.value(c.lits[k]) != False {
 					c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
-					s.watches[c.lits[1].Neg()] = append(
-						s.watches[c.lits[1].Neg()],
-						watcher{c: c, blocker: first})
+					s.touchClause(c)
+					nw := c.lits[1].Neg()
+					s.watches[nw] = append(s.watches[nw], watcher{c: c, blocker: first})
+					s.touchWatch(nw)
 					moved = true
 					break
 				}
 			}
 			if moved {
+				changed = true
 				continue
 			}
 			// Clause is unit or conflicting.
 			kept = append(kept, watcher{c: c, blocker: first})
+			if first != w.blocker {
+				changed = true
+			}
 			if s.value(first) == False {
 				conflict = c
 				s.qhead = len(s.trail)
@@ -387,6 +469,9 @@ func (s *Solver) propagate() *clause {
 			}
 		}
 		s.watches[p] = kept
+		if changed {
+			s.touchWatch(p)
+		}
 		if conflict != nil {
 			return conflict
 		}
@@ -487,6 +572,7 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int32) {
 			for i, l := range c.lits {
 				if l == p {
 					c.lits[0], c.lits[i] = c.lits[i], c.lits[0]
+					s.touchClause(c)
 					break
 				}
 			}
@@ -552,9 +638,11 @@ func (s *Solver) redundant(q Lit, learnt []Lit) bool {
 
 func (s *Solver) bumpVar(v Var) {
 	s.activity[v] += s.varInc
+	s.touchActivity(v)
 	if s.activity[v] > 1e100 {
 		for i := range s.activity {
 			s.activity[i] *= 1e-100
+			s.touchActivity(Var(i))
 		}
 		s.varInc *= 1e-100
 	}
@@ -582,7 +670,7 @@ const maxLearnts = 20000
 // reduceDB removes the lower-activity half of the learned clauses,
 // keeping binary clauses and clauses currently locked as reasons.
 func (s *Solver) reduceDB() {
-	if len(s.learnts) < maxLearnts {
+	if len(s.learnts) < s.learntLimit {
 		return
 	}
 	locked := make(map[*clause]bool, len(s.trail))
@@ -610,6 +698,7 @@ func (s *Solver) reduceDB() {
 	// over maxLearnts conflicts).
 	for i := range s.watches {
 		s.watches[i] = s.watches[i][:0]
+		s.touchWatch(Lit(i))
 	}
 	for _, c := range s.clauses {
 		s.watchClause(c)
@@ -859,120 +948,230 @@ func (s *Solver) learn(lits []Lit) {
 // conflict-budget exhaustion.
 func (s *Solver) LastAbortCause() AbortCause { return s.abortCause }
 
-// Checkpoint is a full snapshot of a solver's search-relevant root-level
-// state, taken with Solver.Checkpoint and restored with Solver.Rollback.
-// It exists for the replica-solver architecture of the race detector's
-// pair scheduler: one base formula is asserted once, checkpointed, and
-// every query group is solved from the exact same canonical state, so the
+// Checkpoint is a snapshot of a solver's search-relevant root-level state,
+// taken with Solver.Checkpoint and restored with Solver.Rollback. It
+// exists for the replica-solver architecture of the race detector's pair
+// scheduler: one base formula is asserted once, checkpointed, and every
+// query group is solved from the exact same canonical state, so the
 // models found — and hence the extracted witnesses — are bit-identical no
 // matter which worker solves which group in which order.
+//
+// The snapshot is flat, a few arrays per solver rather than one
+// allocation per clause: clause literal orders and watch lists are each
+// one arena plus offsets. A watch list stores only clause indices; its
+// blockers follow from the canonical literal order (list ¬lits[0] has
+// blocker lits[1], list ¬lits[1] has blocker lits[0]).
 type Checkpoint struct {
 	nVars    int
 	nClauses int
-	// clauseLits restores each base clause's literal order: propagation
-	// permanently swaps watched literals inside clauses, so rolled-back
-	// clauses must get their snapshot order (and thus watch pairs) back.
-	clauseLits [][]Lit
-	trail      []Lit
-	qhead      int
-	thead      int
-	assign     []Value
-	level      []int32
-	reason     []*clause
-	phase      []bool
-	activity   []float64
-	varInc     float64
-	clauseInc  float64
-	rootUnsat  bool
+	// lits holds every problem clause's literal order, concatenated:
+	// clause i is lits[litOff[i]:litOff[i+1]]. Propagation permanently
+	// swaps watched literals inside clauses, so rolled-back clauses must
+	// get their snapshot order (and thus watch pairs) back.
+	lits   []Lit
+	litOff []int32
+	// watchIdx holds the canonical watch lists as clause indices,
+	// concatenated by literal: list l is watchIdx[watchOff[l]:watchOff[l+1]].
+	watchIdx  []int32
+	watchOff  []int32
+	heapData  []Var
+	heapPos   []int32
+	nTrail    int // the root trail, which later root units only extend
+	qhead     int
+	thead     int
+	level     []int32
+	phase     []bool
+	activity  []float64
+	varInc    float64
+	clauseInc float64
+	rootUnsat bool
 }
 
-// Checkpoint snapshots the solver's complete state. It must be taken at
-// the root level (decision level 0), i.e. outside any Solve call — the
-// normal state between AddClause batches. Taking a checkpoint also
-// canonicalises the live state (watch lists, variable heap) to exactly
-// what Rollback reproduces, so the first query after Checkpoint starts
-// from the same state as every query after a Rollback.
+// Checkpoint snapshots the solver's complete state and makes it the
+// solver's one rollback target, replacing any earlier checkpoint. It must
+// be taken at the root level (decision level 0), i.e. outside any Solve
+// call — the normal state between AddClause batches. Taking a checkpoint
+// first canonicalises the live state: learned clauses are dropped, every
+// watch list is rebuilt in clause order and the decision heap holds every
+// variable pushed in index order. That canonical state is what Rollback
+// reproduces, so the first query after Checkpoint starts from the same
+// state as every query after a Rollback. Checkpoint costs O(clauses +
+// variables), once per solver.
 func (s *Solver) Checkpoint() *Checkpoint {
 	if s.decisionLevel() != 0 {
 		panic("sat: Checkpoint above root level")
 	}
-	ck := &Checkpoint{
-		nVars:      len(s.assign),
-		nClauses:   len(s.clauses),
-		clauseLits: make([][]Lit, len(s.clauses)),
-		trail:      append([]Lit(nil), s.trail...),
-		qhead:      s.qhead,
-		thead:      s.thead,
-		assign:     append([]Value(nil), s.assign...),
-		level:      append([]int32(nil), s.level...),
-		reason:     append([]*clause(nil), s.reason...),
-		phase:      append([]bool(nil), s.phase...),
-		activity:   append([]float64(nil), s.activity...),
-		varInc:     s.varInc,
-		clauseInc:  s.clauseInc,
-		rootUnsat:  s.rootUnsat,
-	}
-	for i, c := range s.clauses {
-		ck.clauseLits[i] = append([]Lit(nil), c.lits...)
-	}
-	s.Rollback(ck) // canonicalise watches and heap in place
-	return ck
-}
-
-// Rollback restores the state captured by ck: variables and clauses added
-// since are discarded, learned clauses dropped, assignments, phases,
-// activities and the theory-assertion queue restored, and watch lists and
-// the decision heap rebuilt canonically. It must be called at the root
-// level. The restored state is byte-for-byte the state Checkpoint left
-// behind, so repeated Rollback/solve cycles are deterministic.
-func (s *Solver) Rollback(ck *Checkpoint) {
-	if s.decisionLevel() != 0 {
-		panic("sat: Rollback above root level")
-	}
-	// Variables.
-	s.assign = append(s.assign[:0], ck.assign...)
-	s.level = append(s.level[:0], ck.level...)
-	s.reason = append(s.reason[:0], ck.reason...)
-	s.phase = append(s.phase[:0], ck.phase...)
-	s.activity = append(s.activity[:0], ck.activity...)
-	s.varInc, s.clauseInc = ck.varInc, ck.clauseInc
-	s.rootUnsat = ck.rootUnsat
-	// Clauses: drop post-checkpoint ones, restore literal order, forget
-	// every learned clause (they may mention discarded variables, and a
-	// canonical restart state must not depend on earlier searches).
-	s.clauses = s.clauses[:ck.nClauses]
-	for i, c := range s.clauses {
-		copy(c.lits, ck.clauseLits[i])
-		c.act = 0
-	}
+	s.ck = nil // the canonical rebuild below is not a change to track
 	s.learnts = s.learnts[:0]
-	// Trail and queues.
-	s.trail = append(s.trail[:0], ck.trail...)
-	s.trailLim = s.trailLim[:0]
-	s.qhead, s.thead = ck.qhead, ck.thead
-	// Watch lists: truncate to the checkpoint's variables and rebuild in
-	// clause order (the same canonicalisation reduceDB uses).
-	s.watches = s.watches[:2*ck.nVars]
 	for i := range s.watches {
 		s.watches[i] = s.watches[i][:0]
 	}
 	for _, c := range s.clauses {
 		s.watchClause(c)
 	}
-	// Decision heap: rebuild with every variable present in index order,
-	// the same shape NewVar left behind.
 	s.heap.data = s.heap.data[:0]
-	if len(s.heap.pos) > ck.nVars {
-		s.heap.pos = s.heap.pos[:ck.nVars]
-	}
 	for i := range s.heap.pos {
 		s.heap.pos[i] = -1
 	}
-	for v := 0; v < ck.nVars; v++ {
+	for v := range s.assign {
 		s.heap.push(Var(v))
 	}
 	s.model = s.model[:0]
 	s.abortCause = AbortNone
+
+	ck := &Checkpoint{
+		nVars:     len(s.assign),
+		nClauses:  len(s.clauses),
+		litOff:    make([]int32, len(s.clauses)+1),
+		watchOff:  make([]int32, len(s.watches)+1),
+		watchIdx:  make([]int32, 0, 2*len(s.clauses)),
+		heapData:  append([]Var(nil), s.heap.data...),
+		heapPos:   append([]int32(nil), s.heap.pos...),
+		nTrail:    len(s.trail),
+		qhead:     s.qhead,
+		thead:     s.thead,
+		level:     append([]int32(nil), s.level...),
+		phase:     append([]bool(nil), s.phase...),
+		activity:  append([]float64(nil), s.activity...),
+		varInc:    s.varInc,
+		clauseInc: s.clauseInc,
+		rootUnsat: s.rootUnsat,
+	}
+	n := 0
+	for i, c := range s.clauses {
+		n += len(c.lits)
+		ck.litOff[i+1] = int32(n)
+	}
+	ck.lits = make([]Lit, 0, n)
+	for _, c := range s.clauses {
+		ck.lits = append(ck.lits, c.lits...)
+	}
+	for l, ws := range s.watches {
+		for _, w := range ws {
+			ck.watchIdx = append(ck.watchIdx, w.c.idx)
+		}
+		ck.watchOff[l+1] = int32(len(ck.watchIdx))
+	}
+	s.watchDirty = s.watchDirty.reset(len(s.watches))
+	s.clauseDirty = s.clauseDirty.reset(len(s.clauses))
+	s.actDirty = s.actDirty.reset(len(s.assign))
+	s.ck = ck
+	return ck
+}
+
+// Rollback restores the state captured by ck: variables and clauses added
+// since are discarded, learned clauses dropped, assignments, phases,
+// activities, the decision heap and the theory-assertion queue restored,
+// and every watch list and clause literal order that changed since the
+// checkpoint put back. It must be called at the root level, and ck must
+// be the solver's latest checkpoint; rolling back to any other panics.
+// The restored state is byte-for-byte the state Checkpoint left behind,
+// so repeated Rollback/solve cycles are deterministic.
+//
+// The cost is proportional to what changed, not to the formula: levels,
+// phases and the heap are copied back whole (a full descent changes them
+// for nearly every variable anyway), while assignments, activities, watch
+// lists and clause literal orders are restored only where the search
+// changed them since the checkpoint.
+func (s *Solver) Rollback(ck *Checkpoint) {
+	if ck != s.ck {
+		panic("sat: Rollback to a checkpoint other than the latest")
+	}
+	if s.decisionLevel() != 0 {
+		panic("sat: Rollback above root level")
+	}
+	// Variables. Backtracking to the root already unassigned everything
+	// above it, and the checkpoint's root assignments are still in place,
+	// so only the root-level assignments made since are undone; only the
+	// conflicts' bumped activities are put back, while levels and phases
+	// change for nearly every variable in a descent and are copied back
+	// whole.
+	for _, l := range s.trail[ck.nTrail:] {
+		s.assign[l.Var()] = Unknown
+		s.reason[l.Var()] = nil
+	}
+	s.assign = s.assign[:ck.nVars]
+	s.reason = s.reason[:ck.nVars]
+	s.level = append(s.level[:0], ck.level...)
+	s.phase = append(s.phase[:0], ck.phase...)
+	for wi, w := range s.actDirty {
+		for ; w != 0; w &= w - 1 {
+			v := wi<<6 | bits.TrailingZeros64(w)
+			s.activity[v] = ck.activity[v]
+		}
+		s.actDirty[wi] = 0
+	}
+	s.activity = s.activity[:ck.nVars]
+	s.varInc, s.clauseInc = ck.varInc, ck.clauseInc
+	s.rootUnsat = ck.rootUnsat
+	s.litMark = s.litMark[:2*ck.nVars]
+	// Clauses: drop post-checkpoint ones and every learned clause (they
+	// may mention discarded variables, and a canonical restart state must
+	// not depend on earlier searches), and restore the literal order of
+	// the clauses the search reordered. The watch lists below read their
+	// blockers from these restored orders.
+	s.clauses = s.clauses[:ck.nClauses]
+	s.learnts = s.learnts[:0]
+	for wi, w := range s.clauseDirty {
+		for ; w != 0; w &= w - 1 {
+			i := wi<<6 | bits.TrailingZeros64(w)
+			lits := s.clauses[i].lits
+			for j, l := range ck.lits[ck.litOff[i]:ck.litOff[i+1]] {
+				lits[j] = l // a loop, not copy: clauses are short
+			}
+		}
+		s.clauseDirty[wi] = 0
+	}
+	// Trail and queues: the checkpoint's root assignments are the
+	// trail's unchanged prefix.
+	s.trail = s.trail[:ck.nTrail]
+	s.trailLim = s.trailLim[:0]
+	s.qhead, s.thead = ck.qhead, ck.thead
+	// Watch lists: truncate to the checkpoint's variables and rebuild the
+	// changed ones from the arena.
+	s.watches = s.watches[:2*ck.nVars]
+	for wi, w := range s.watchDirty {
+		for ; w != 0; w &= w - 1 {
+			s.restoreWatches(Lit(wi<<6 | bits.TrailingZeros64(w)))
+		}
+		s.watchDirty[wi] = 0
+	}
+	// Decision heap: the canonical shape Checkpoint built.
+	s.heap.data = append(s.heap.data[:0], ck.heapData...)
+	s.heap.pos = append(s.heap.pos[:0], ck.heapPos...)
+	s.model = s.model[:0]
+	s.abortCause = AbortNone
+}
+
+// restoreWatches rebuilds watch list l from the latest checkpoint's
+// arena. Blockers follow from the canonical literal order, so the clauses
+// must already be restored: list ¬lits[0] has blocker lits[1] and list
+// ¬lits[1] has blocker lits[0].
+func (s *Solver) restoreWatches(l Lit) {
+	ck := s.ck
+	ws := s.watches[l][:0]
+	for _, ci := range ck.watchIdx[ck.watchOff[l]:ck.watchOff[l+1]] {
+		c := s.clauses[ci]
+		blocker := c.lits[0]
+		if blocker.Neg() == l {
+			blocker = c.lits[1]
+		}
+		ws = append(ws, watcher{c: c, blocker: blocker})
+	}
+	s.watches[l] = ws
+}
+
+// bitset is a set of small non-negative integers, one bit each.
+type bitset []uint64
+
+func (b bitset) set(i int) { b[i>>6] |= 1 << (i & 63) }
+
+// reset returns an empty set with room for n members, reusing b's storage.
+func (b bitset) reset(n int) bitset {
+	words := (n + 63) / 64
+	b = slices.Grow(b[:0], words)[:words]
+	clear(b)
+	return b
 }
 
 // ModelValue returns the value of v in the most recent Sat model.
@@ -986,7 +1185,7 @@ func (s *Solver) ModelValue(v Var) Value {
 // varHeap is a max-heap of variables ordered by activity.
 type varHeap struct {
 	data     []Var
-	pos      []int // var -> index in data, -1 if absent
+	pos      []int32 // var -> index in data, -1 if absent
 	activity *[]float64
 }
 
@@ -996,8 +1195,8 @@ func (h *varHeap) less(i, j int) bool {
 
 func (h *varHeap) swap(i, j int) {
 	h.data[i], h.data[j] = h.data[j], h.data[i]
-	h.pos[h.data[i]] = i
-	h.pos[h.data[j]] = j
+	h.pos[h.data[i]] = int32(i)
+	h.pos[h.data[j]] = int32(j)
 }
 
 func (h *varHeap) up(i int) {
@@ -1038,8 +1237,8 @@ func (h *varHeap) push(v Var) {
 		return
 	}
 	h.data = append(h.data, v)
-	h.pos[v] = len(h.data) - 1
-	h.up(h.pos[v])
+	h.pos[v] = int32(len(h.data) - 1)
+	h.up(int(h.pos[v]))
 }
 
 func (h *varHeap) popMax() (Var, bool) {
@@ -1059,6 +1258,6 @@ func (h *varHeap) popMax() (Var, bool) {
 
 func (h *varHeap) update(v Var) {
 	if int(v) < len(h.pos) && h.pos[v] >= 0 {
-		h.up(h.pos[v])
+		h.up(int(h.pos[v]))
 	}
 }

@@ -7,9 +7,13 @@ import (
 	"repro/internal/sat"
 )
 
-// Solver decides boolean combinations of IDL atoms by DPLL(T). A solver is
-// single-use per query in the race-detection pipeline (one per COP), though
-// adding further assertions after a Solve and re-solving is supported.
+// Solver decides boolean combinations of IDL atoms by DPLL(T). In the
+// race-detection pipeline one long-lived solver serves each window
+// replica: the window's base constraints are asserted once and
+// checkpointed, every query adds a guard-conditional constraint and
+// solves under its guard, and the solver rolls back to the checkpoint
+// between signature groups. Only the merged-variable ablation builds a
+// solver per COP.
 type Solver struct {
 	sat   *sat.Solver
 	idl   *idl.Solver

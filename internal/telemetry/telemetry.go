@@ -55,6 +55,9 @@ const (
 	PhaseQuickCheck
 	// PhaseEncode is constraint generation (Φ_mhb, Φ_lock, cf, queries).
 	PhaseEncode
+	// PhaseCheckpoint is window-solver checkpointing and the rollback to
+	// the checkpoint before each signature group.
+	PhaseCheckpoint
 	// PhaseSolve is DPLL(T) solving.
 	PhaseSolve
 	// PhaseWitness is witness-schedule reconstruction from models.
@@ -76,6 +79,8 @@ func (p Phase) String() string {
 		return "quick_check"
 	case PhaseEncode:
 		return "encode"
+	case PhaseCheckpoint:
+		return "checkpoint"
 	case PhaseSolve:
 		return "solve"
 	case PhaseWitness:
@@ -947,6 +952,7 @@ func (c *Collector) Snapshot() *Metrics {
 			MHB:        c.phases[PhaseMHB].Load(),
 			QuickCheck: c.phases[PhaseQuickCheck].Load(),
 			Encode:     c.phases[PhaseEncode].Load(),
+			Checkpoint: c.phases[PhaseCheckpoint].Load(),
 			Solve:      c.phases[PhaseSolve].Load(),
 			Witness:    c.phases[PhaseWitness].Load(),
 		},
@@ -1077,6 +1083,7 @@ type PhaseNanos struct {
 	MHB        int64 `json:"mhb_ns"`
 	QuickCheck int64 `json:"quick_check_ns"`
 	Encode     int64 `json:"encode_ns"`
+	Checkpoint int64 `json:"checkpoint_ns"`
 	Solve      int64 `json:"solve_ns"`
 	Witness    int64 `json:"witness_ns"`
 }
@@ -1084,7 +1091,7 @@ type PhaseNanos struct {
 // Total returns the summed phase time.
 func (p PhaseNanos) Total() time.Duration {
 	return time.Duration(p.TraceScan + p.Enumerate + p.MHB + p.QuickCheck +
-		p.Encode + p.Solve + p.Witness)
+		p.Encode + p.Checkpoint + p.Solve + p.Witness)
 }
 
 // PairSchedCounters describes the intra-window pair scheduler: how many

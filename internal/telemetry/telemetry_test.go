@@ -225,6 +225,7 @@ func TestStableNames(t *testing.T) {
 		PhaseEnumerate:  "cop_enumeration",
 		PhaseQuickCheck: "quick_check",
 		PhaseEncode:     "encode",
+		PhaseCheckpoint: "checkpoint",
 		PhaseSolve:      "solve",
 		PhaseWitness:    "witness",
 	}
@@ -254,8 +255,8 @@ func TestStableNames(t *testing.T) {
 
 // TestPhaseTotal checks Total sums every phase bucket.
 func TestPhaseTotal(t *testing.T) {
-	p := PhaseNanos{TraceScan: 1, Enumerate: 2, QuickCheck: 3, Encode: 4, Solve: 5, Witness: 6}
-	if got := p.Total(); got != 21 {
-		t.Errorf("Total = %d, want 21", got)
+	p := PhaseNanos{TraceScan: 1, Enumerate: 2, QuickCheck: 3, Encode: 4, Solve: 5, Witness: 6, Checkpoint: 7}
+	if got := p.Total(); got != 28 {
+		t.Errorf("Total = %d, want 28", got)
 	}
 }
