@@ -512,21 +512,14 @@ func (d *Detector) AnalyseWindow(ctx context.Context, deadline time.Time, w *tra
 	}
 	wstart := time.Now()
 
-	span := col.StartPhase(telemetry.PhaseEnumerate)
-	esp := col.BeginSpan("enumerate", lane, wspan.ID())
-	cops := race.EnumerateCOPs(w)
-	esp.End()
-	span.End()
-	col.CountEnumerated(len(cops))
-	out.Candidates = len(cops)
-
-	// Prefilters and signature grouping run up front; the pair scheduler
-	// then solves the groups (in parallel when PairParallelism > 1) and
-	// the results join the outcome below in canonical group order, so the
-	// window's contribution is deterministic.
-	psp := col.BeginSpan("mhb+triage", lane, wspan.ID())
-	groups, mhb := d.partition(w, cops, skip)
-	psp.End()
+	// The candidate funnel and signature grouping run up front; the pair
+	// scheduler then solves the groups (in parallel when PairParallelism
+	// > 1) and the results join the outcome below in canonical group
+	// order, so the window's contribution is deterministic.
+	fsp := col.BeginSpan("funnel", lane, wspan.ID())
+	groups, mhb, candidates := d.funnel(w, skip)
+	fsp.End()
+	out.Candidates = candidates
 	col.CountPairGroups(len(groups))
 	// Provenance attribution is lazy: only windows that report a race
 	// pay for the attributor's clock passes.
@@ -563,9 +556,9 @@ func (d *Detector) AnalyseWindow(ctx context.Context, deadline time.Time, w *tra
 		}
 	case len(groups) > 0 && ctx.Err() == nil:
 		if mhb == nil {
-			// NoQuickCheck runs: partition computed no clocks, but the
+			// NoQuickCheck runs: the funnel computed no clocks, but the
 			// window encoders still need the MHB pass.
-			span = col.StartPhase(telemetry.PhaseMHB)
+			span := col.StartPhase(telemetry.PhaseMHB)
 			msp := col.BeginSpan("mhb", lane, wspan.ID())
 			mhb = vc.ComputeMHB(w)
 			msp.End()
@@ -616,7 +609,7 @@ func (d *Detector) AnalyseWindow(ctx context.Context, deadline time.Time, w *tra
 	col.WindowDone(telemetry.WindowRecord{
 		Offset:     offset,
 		Events:     w.Len(),
-		Candidates: len(cops),
+		Candidates: candidates,
 		Solved:     out.Solved,
 		Findings:   len(out.Races),
 		ElapsedNS:  out.ElapsedNS,

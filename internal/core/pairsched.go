@@ -42,7 +42,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/lockset"
 	"repro/internal/race"
 	"repro/internal/sat"
 	"repro/internal/telemetry"
@@ -51,8 +50,8 @@ import (
 )
 
 // sigGroup is the pair scheduler's unit of work: every COP instance of one
-// signature in one window that survived the skip hint and the lockset
-// quick-check prefilters, in enumeration order.
+// signature in one window that survived the candidate funnel (funnel.go),
+// in (A, B) order.
 type sigGroup struct {
 	sig  race.Signature
 	cops []race.COP
@@ -87,82 +86,6 @@ type windowCtx struct {
 	cancel     func() bool
 	skip       func(race.Signature) bool // AnalyseWindow's skip hint
 	spanParent uint64                    // window span ID, parent of worker/group spans
-}
-
-// partition runs the prefilters over the enumerated COPs and groups the
-// survivors by signature, in order of each signature's first surviving
-// instance. The sequential drivers' skip hint is stable for the whole
-// window (Merge updates it between windows), so the partition is
-// deterministic. The window MHB clocks and the lockset quick check are
-// computed lazily, on the first instance that survives the cheap skip
-// lookups — so a window whose candidates are all already decided costs
-// no clock pass — and the single MHB pass is shared by the
-// quick check, the triage tier and (via the returned value) the window
-// encoders, where the old driver paid for it twice. Survivors are
-// classified by the triage tier (triage.go) at partition time, in
-// canonical enumeration order, so the tier's telemetry tallies are
-// deterministic under any worker count.
-func (d *Detector) partition(w *trace.Trace, cops []race.COP, skip func(race.Signature) bool) ([]*sigGroup, *vc.MHB) {
-	col := d.opt.Telemetry
-	var (
-		groups []*sigGroup
-		index  map[race.Signature]int
-		mhb    *vc.MHB
-		sets   *lockset.Sets
-		setsOK bool
-		tri    *triage
-	)
-	for _, cop := range cops {
-		sig := race.SigOf(w, cop.A, cop.B)
-		if skip != nil && skip(sig) {
-			col.CountSigDedup()
-			continue
-		}
-		if !setsOK {
-			setsOK = true
-			if !d.opt.NoQuickCheck {
-				span := col.StartPhase(telemetry.PhaseMHB)
-				mhb = vc.ComputeMHB(w)
-				span.End()
-				span = col.StartPhase(telemetry.PhaseQuickCheck)
-				sets = lockset.ComputeWith(w, mhb)
-				span.End()
-			}
-		}
-		if sets != nil {
-			span := col.StartPhase(telemetry.PhaseQuickCheck)
-			pass := sets.Pass(cop.A, cop.B)
-			span.End()
-			if !pass {
-				col.CountQuickCheckFiltered()
-				continue
-			}
-		}
-		confirmed := false
-		if sets != nil && d.triageOn() {
-			if tri == nil {
-				tri = d.newTriage(w)
-			}
-			confirmed = tri.confirm(cop)
-		}
-		gi, ok := index[sig]
-		if !ok {
-			if index == nil {
-				index = make(map[race.Signature]int)
-			}
-			gi = len(groups)
-			index[sig] = gi
-			groups = append(groups, &sigGroup{sig: sig})
-		}
-		groups[gi].cops = append(groups[gi].cops, cop)
-		if tri != nil {
-			groups[gi].confirmed = append(groups[gi].confirmed, confirmed)
-		}
-	}
-	if tri != nil {
-		tri.release()
-	}
-	return groups, mhb
 }
 
 // buildReplica constructs one worker's window encoding: base constraints,
@@ -274,6 +197,15 @@ func (d *Detector) solveGroups(wc *windowCtx, groups []*sigGroup) []*groupResult
 		}
 	}
 
+	// A window whose every group opens with a triage-confirmed instance
+	// (and wants no witness) never touches a solver: each group is a race
+	// on its first instance. Its replicas are then built only when
+	// telemetry is on, where solver.clauses counts every window encoding;
+	// with telemetry off nothing could observe them, and their size —
+	// which depends on where the confirmed pairs sit in the window — would
+	// be the run's largest cost.
+	buildReplicas := !d.opt.MergeRaceVars && (col.Enabled() || needsSolver(groups, d.opt.Witness))
+
 	// guarded wraps one worker (replica construction included) in panic
 	// capture: the first panic stops the pool and is re-raised below.
 	// k is the worker's index (0 = the coordinator solving inline).
@@ -290,7 +222,7 @@ func (d *Detector) solveGroups(wc *windowCtx, groups []*sigGroup) []*groupResult
 		}()
 		lane := telemetry.WorkerLane(wc.widx, k)
 		var ws *windowSolver
-		if !d.opt.MergeRaceVars {
+		if buildReplicas {
 			if k > 0 {
 				col.CountPairReplica()
 			}
@@ -330,6 +262,21 @@ func (d *Detector) solveGroups(wc *windowCtx, groups []*sigGroup) []*groupResult
 	return results
 }
 
+// needsSolver reports whether solveGroup could query a solver for any of
+// groups: it does unless every group's first instance is triage-confirmed
+// and no witness is requested, since a group stops at its first race.
+func needsSolver(groups []*sigGroup, witness bool) bool {
+	if witness {
+		return true
+	}
+	for _, g := range groups {
+		if g.confirmed == nil || !g.confirmed[0] {
+			return true
+		}
+	}
+	return false
+}
+
 // groupSpanName renders one signature group's timeline-span name. The
 // formatting allocates, so it is skipped (the span is inert anyway)
 // unless a recorder is attached.
@@ -357,7 +304,7 @@ func (d *Detector) solveGroup(wc *windowCtx, ws *windowSolver, g *sigGroup) *gro
 		}
 		// Instances decided after dispatch (the signature's race already
 		// found, or reported meanwhile by a parallel window) are
-		// pair-scheduler skips, not signature-dedup hits: partition
+		// pair-scheduler skips, not signature-dedup hits: the funnel
 		// already classified them, so counting them as dedup again would
 		// break the candidate-funnel identity the /metrics endpoint checks.
 		if gr.isRace {

@@ -86,3 +86,27 @@ func TestCheckpointPhaseTimed(t *testing.T) {
 			spans["checkpoint"], spans["rollback"], m.PairSched.Rollbacks)
 	}
 }
+
+// TestNeedsSolver pins when a window's groups can reach a solver: unless
+// every group opens with a triage-confirmed instance and no witness is
+// asked for.
+func TestNeedsSolver(t *testing.T) {
+	confirmed := &sigGroup{cops: make([]race.COP, 2), confirmed: []bool{true, false}}
+	laterOnly := &sigGroup{cops: make([]race.COP, 2), confirmed: []bool{false, true}}
+	untriaged := &sigGroup{cops: make([]race.COP, 1)}
+	for _, c := range []struct {
+		groups  []*sigGroup
+		witness bool
+		want    bool
+	}{
+		{[]*sigGroup{confirmed}, false, false},
+		{[]*sigGroup{confirmed, confirmed}, false, false},
+		{[]*sigGroup{confirmed}, true, true},
+		{[]*sigGroup{confirmed, laterOnly}, false, true},
+		{[]*sigGroup{untriaged}, false, true},
+	} {
+		if got := needsSolver(c.groups, c.witness); got != c.want {
+			t.Errorf("needsSolver(%d groups, witness=%v) = %v, want %v", len(c.groups), c.witness, got, c.want)
+		}
+	}
+}

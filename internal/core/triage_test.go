@@ -166,6 +166,15 @@ func TestTriageTelemetryCounters(t *testing.T) {
 		t.Errorf("solver queries = %d, want fewer than COPsChecked = %d (fast path must skip solves)",
 			m.Outcomes.Solved, res.COPsChecked)
 	}
+	// No window here queries a solver, so with telemetry off none builds
+	// its encoding; with telemetry on each still does, and is counted.
+	if m.Solver.Clauses == 0 {
+		t.Errorf("solver clauses = 0, want the unqueried window encodings counted")
+	}
+	traced := triageResult(tr, 10000, Options{Telemetry: telemetry.NewCollector()})
+	if plain := triageResult(tr, 10000, Options{}); !reflect.DeepEqual(plain, traced) {
+		t.Errorf("telemetry-off result differs from the telemetry-on result")
+	}
 
 	col = telemetry.NewCollector()
 	res = New(Options{WindowSize: 10000, NoTriage: true, Telemetry: col}).Detect(tr)

@@ -143,9 +143,9 @@ func (s *Server) Close() error {
 //	           + triage_confirmed + triage_wcp_confirmed
 //	           + triage_syncp_confirmed + triage_cp_confirmed + dispatched
 //
-// holds exactly: partition classifies every enumerated candidate into
-// exactly one of those bins (solve-time skips count separately as
-// pair_skips). The NoTriage/NoQuickCheck ablations bypass classification,
+// holds exactly: the candidate funnel classifies every enumerated
+// candidate into exactly one of those bins (solve-time skips count
+// separately as pair_skips). The NoTriage/NoQuickCheck ablations bypass classification,
 // so the triage terms undercount there.
 type Funnel struct {
 	Enumerated           int64 `json:"candidates_enumerated"`
@@ -400,7 +400,7 @@ var metricDefs = []metricDef{
 		func(_ *Server, m *telemetry.Metrics) []sample { return one(float64(m.Outcomes.Enumerated)) }},
 	{"rvpredict_quick_check_filtered_total", "counter", "Candidates removed by the lockset/weak-HB quick check.",
 		func(_ *Server, m *telemetry.Metrics) []sample { return one(float64(m.Outcomes.QuickCheckFiltered)) }},
-	{"rvpredict_signature_dedup_total", "counter", "Candidates removed at partition time because their signature was already decided.",
+	{"rvpredict_signature_dedup_total", "counter", "Candidates removed by the candidate funnel because their signature was already decided.",
 		func(_ *Server, m *telemetry.Metrics) []sample { return one(float64(m.Outcomes.SigDedupHits)) }},
 	{"rvpredict_mhb_filtered_total", "counter", "Candidates removed by a must-happen-before pre-check.",
 		func(_ *Server, m *telemetry.Metrics) []sample { return one(float64(m.Outcomes.MHBFiltered)) }},

@@ -25,9 +25,8 @@ import (
 func seedCollector() *telemetry.Collector {
 	col := telemetry.NewCollector()
 	col.CountEnumerated(12)
-	col.CountQuickCheckFiltered()
-	col.CountQuickCheckFiltered()
-	col.CountSigDedup()
+	col.CountQuickCheckFiltered(2)
+	col.CountSigDedup(1)
 	for i := 0; i < 3; i++ {
 		col.CountTriageConfirmed(race.TierSHB)
 	}

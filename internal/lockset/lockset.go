@@ -13,6 +13,7 @@
 package lockset
 
 import (
+	"encoding/binary"
 	"sort"
 	"time"
 
@@ -23,8 +24,14 @@ import (
 
 // Sets holds the lockset of every access event of one trace, plus the
 // must-happen-before clocks used for the weak-HB part of the check.
+//
+// Locksets are interned: every event carries a dense ID into a table of
+// distinct sorted sets, so accesses holding the same locks share one set
+// and compare by ID. ID 0 is the empty set, carried by every access
+// outside critical sections and by every non-access event.
 type Sets struct {
-	held map[int][]trace.Addr // event index -> sorted locks held
+	ids  []int32        // event index -> lockset ID
+	sets [][]trace.Addr // lockset ID -> sorted locks; sets[0] is nil
 	mhb  *vc.MHB
 }
 
@@ -42,71 +49,130 @@ func Compute(tr *trace.Trace) *Sets {
 // ComputeWith is Compute with caller-supplied MHB clocks for the weak-HB
 // part of the check, for pipelines that already computed the window's MHB
 // (the detection driver shares one MHB pass between the quick check, the
-// triage tier and the constraint encoder).
+// triage tier and the constraint encoder). mhb may be nil when only the
+// lockset half is used (ID, Held, Disjoint); Pass then panics.
 func ComputeWith(tr *trace.Trace, mhb *vc.MHB) *Sets {
-	held := make(map[int][]trace.Addr)
-	cur := make(map[trace.TID]map[trace.Addr]bool)
+	in := &interner{index: map[string]int32{"": 0}, sets: [][]trace.Addr{nil}, step: map[transition]int32{}}
+	cur := make(map[trace.TID]int32) // thread -> ID of the locks it holds
 	// Pre-scan: locks released without an in-window acquire were held from
 	// the window start.
-	acquired := make(map[trace.TID]map[trace.Addr]bool)
+	type held struct {
+		tid  trace.TID
+		lock trace.Addr
+	}
+	acquired := make(map[held]bool)
 	for i := 0; i < tr.Len(); i++ {
 		e := tr.Event(i)
 		switch e.Op {
 		case trace.OpAcquire:
-			if acquired[e.Tid] == nil {
-				acquired[e.Tid] = make(map[trace.Addr]bool)
-			}
-			acquired[e.Tid][e.Addr] = true
+			acquired[held{e.Tid, e.Addr}] = true
 		case trace.OpRelease:
-			if !acquired[e.Tid][e.Addr] {
-				if cur[e.Tid] == nil {
-					cur[e.Tid] = make(map[trace.Addr]bool)
-				}
-				cur[e.Tid][e.Addr] = true
+			if !acquired[held{e.Tid, e.Addr}] {
+				cur[e.Tid] = in.apply(cur[e.Tid], e.Addr, true)
 			}
 		}
 	}
+	ids := make([]int32, tr.Len())
 	for i := 0; i < tr.Len(); i++ {
 		e := tr.Event(i)
 		switch e.Op {
-		case trace.OpAcquire:
-			m := cur[e.Tid]
-			if m == nil {
-				m = make(map[trace.Addr]bool)
-				cur[e.Tid] = m
-			}
-			m[e.Addr] = true
-		case trace.OpRelease:
-			delete(cur[e.Tid], e.Addr)
+		case trace.OpAcquire, trace.OpRelease:
+			cur[e.Tid] = in.apply(cur[e.Tid], e.Addr, e.Op == trace.OpAcquire)
 		case trace.OpRead, trace.OpWrite:
-			if m := cur[e.Tid]; len(m) > 0 {
-				ls := make([]trace.Addr, 0, len(m))
-				for l := range m {
-					ls = append(ls, l)
-				}
-				sort.Slice(ls, func(a, b int) bool { return ls[a] < ls[b] })
-				held[i] = ls
-			}
+			ids[i] = cur[e.Tid]
 		}
 	}
-	return &Sets{held: held, mhb: mhb}
+	return &Sets{ids: ids, sets: in.sets, mhb: mhb}
 }
 
+// transition is one lockset change: adding (acquire) or removing
+// (release) lock to or from the set with ID from.
+type transition struct {
+	from    int32
+	lock    trace.Addr
+	acquire bool
+}
+
+// interner assigns dense IDs to distinct sorted locksets. A thread's
+// lockset changes only at acquire and release, so each distinct
+// transition is computed once and then served from step.
+type interner struct {
+	index map[string]int32 // binary key of a sorted set -> ID
+	sets  [][]trace.Addr
+	step  map[transition]int32
+	key   []byte
+}
+
+// apply returns the ID of sets[from] with lock added (acquire) or
+// removed. Adding a held lock or removing an absent one is a no-op, as
+// for a set.
+func (in *interner) apply(from int32, lock trace.Addr, acquire bool) int32 {
+	t := transition{from, lock, acquire}
+	if id, ok := in.step[t]; ok {
+		return id
+	}
+	old := in.sets[from]
+	k := sort.Search(len(old), func(x int) bool { return old[x] >= lock })
+	present := k < len(old) && old[k] == lock
+	id := from
+	if acquire != present {
+		next := make([]trace.Addr, 0, len(old)+1)
+		next = append(next, old[:k]...)
+		if acquire {
+			next = append(next, lock)
+			next = append(next, old[k:]...)
+		} else {
+			next = append(next, old[k+1:]...)
+		}
+		id = in.intern(next)
+	}
+	in.step[t] = id
+	return id
+}
+
+// intern returns the ID of the sorted set ls, adding it if new.
+func (in *interner) intern(ls []trace.Addr) int32 {
+	in.key = in.key[:0]
+	for _, l := range ls {
+		in.key = binary.LittleEndian.AppendUint64(in.key, uint64(l))
+	}
+	if id, ok := in.index[string(in.key)]; ok {
+		return id
+	}
+	id := int32(len(in.sets))
+	in.index[string(in.key)] = id
+	in.sets = append(in.sets, ls)
+	return id
+}
+
+// ID returns the lockset ID of event i: equal IDs mean equal locksets,
+// and 0 means no lock is held.
+func (s *Sets) ID(i int) int32 { return s.ids[i] }
+
 // Held returns the sorted locks held at access event i (nil if none).
-func (s *Sets) Held(i int) []trace.Addr { return s.held[i] }
+func (s *Sets) Held(i int) []trace.Addr { return s.sets[s.ids[i]] }
 
 // Disjoint reports whether the locksets of events i and j share no lock.
-func (s *Sets) Disjoint(i, j int) bool {
-	a, b := s.held[i], s.held[j]
-	x, y := 0, 0
-	for x < len(a) && y < len(b) {
+func (s *Sets) Disjoint(i, j int) bool { return s.DisjointIDs(s.ids[i], s.ids[j]) }
+
+// DisjointIDs reports whether the locksets with IDs a and b share no lock.
+func (s *Sets) DisjointIDs(a, b int32) bool {
+	if a == 0 || b == 0 {
+		return true
+	}
+	if a == b {
+		return false
+	}
+	x, y := s.sets[a], s.sets[b]
+	i, j := 0, 0
+	for i < len(x) && j < len(y) {
 		switch {
-		case a[x] == b[y]:
+		case x[i] == y[j]:
 			return false
-		case a[x] < b[y]:
-			x++
+		case x[i] < y[j]:
+			i++
 		default:
-			y++
+			j++
 		}
 	}
 	return true

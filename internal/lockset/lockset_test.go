@@ -1,6 +1,10 @@
 package lockset
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/fixtures"
@@ -95,5 +99,107 @@ func TestQCOverapproximatesRV(t *testing.T) {
 	}
 	if !found {
 		t.Error("the real race (3,10) must pass the quick check")
+	}
+}
+
+// referenceHeld is the direct definition of the locksets: per thread, the
+// set of locks acquired and not yet released, seeded with the locks the
+// thread releases before any in-trace acquire of them (the trace is a
+// window that began inside those critical sections).
+func referenceHeld(tr *trace.Trace) map[int][]trace.Addr {
+	cur := make(map[trace.TID]map[trace.Addr]bool)
+	acquired := make(map[trace.TID]map[trace.Addr]bool)
+	add := func(m map[trace.TID]map[trace.Addr]bool, t trace.TID, l trace.Addr) {
+		if m[t] == nil {
+			m[t] = make(map[trace.Addr]bool)
+		}
+		m[t][l] = true
+	}
+	for _, e := range tr.Events() {
+		switch {
+		case e.Op == trace.OpAcquire:
+			add(acquired, e.Tid, e.Addr)
+		case e.Op == trace.OpRelease && !acquired[e.Tid][e.Addr]:
+			add(cur, e.Tid, e.Addr)
+		}
+	}
+	held := make(map[int][]trace.Addr)
+	for i, e := range tr.Events() {
+		switch e.Op {
+		case trace.OpAcquire:
+			add(cur, e.Tid, e.Addr)
+		case trace.OpRelease:
+			delete(cur[e.Tid], e.Addr)
+		case trace.OpRead, trace.OpWrite:
+			for l := range cur[e.Tid] {
+				held[i] = append(held[i], l)
+			}
+			sort.Slice(held[i], func(a, b int) bool { return held[i][a] < held[i][b] })
+		}
+	}
+	return held
+}
+
+// TestInternedSetsMatchReference checks the interned locksets against the
+// direct definition on random windows with nested critical sections that
+// start and end outside the window, and checks that equal locksets share
+// one ID and that Disjoint agrees with the sets.
+func TestInternedSetsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for iter := 0; iter < 300; iter++ {
+		b := trace.NewBuilder()
+		held := map[trace.TID][]trace.Addr{}
+		owner := map[trace.Addr]trace.TID{}
+		for i := 0; i < 60; i++ {
+			t := trace.TID(1 + rng.Intn(3))
+			switch rng.Intn(4) {
+			case 0:
+				if l := trace.Addr(10 + rng.Intn(4)); owner[l] == 0 {
+					b.Acquire(t, l)
+					owner[l] = t
+					held[t] = append(held[t], l)
+				}
+			case 1:
+				if n := len(held[t]); n > 0 {
+					k := rng.Intn(n)
+					b.Release(t, held[t][k])
+					delete(owner, held[t][k])
+					held[t] = append(held[t][:k], held[t][k+1:]...)
+				}
+			case 2:
+				b.Write(t, trace.Addr(1+rng.Intn(2)), 1)
+			default:
+				b.Read(t, trace.Addr(1+rng.Intn(2)))
+			}
+		}
+		full := b.Trace()
+		lo := rng.Intn(full.Len())
+		w := full.Slice(lo, lo+rng.Intn(full.Len()-lo+1))
+		want := referenceHeld(w)
+		sets := Compute(w)
+		byKey := map[string]int32{}
+		for i := 0; i < w.Len(); i++ {
+			got := sets.Held(i)
+			if !reflect.DeepEqual(got, want[i]) {
+				t.Fatalf("iter %d: Held(%d) = %v, want %v", iter, i, got, want[i])
+			}
+			if k := fmt.Sprint(got); w.Event(i).Op.IsAccess() {
+				if id, ok := byKey[k]; ok && id != sets.ID(i) {
+					t.Fatalf("iter %d: lockset %s has IDs %d and %d", iter, k, id, sets.ID(i))
+				}
+				byKey[k] = sets.ID(i)
+			}
+			for j := 0; j < i; j++ {
+				disjoint := true
+				for _, l := range want[i] {
+					for _, m := range want[j] {
+						disjoint = disjoint && l != m
+					}
+				}
+				if sets.Disjoint(i, j) != disjoint {
+					t.Fatalf("iter %d: Disjoint(%d, %d) = %v, want %v", iter, j, i, !disjoint, disjoint)
+				}
+			}
+		}
 	}
 }

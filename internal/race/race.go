@@ -7,7 +7,6 @@ package race
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/trace"
@@ -29,7 +28,12 @@ type Signature struct {
 
 // SigOf returns the signature of the COP (a, b) in tr.
 func SigOf(tr *trace.Trace, a, b int) Signature {
-	l1, l2 := tr.Event(a).Loc, tr.Event(b).Loc
+	return SigOfLocs(tr.Event(a).Loc, tr.Event(b).Loc)
+}
+
+// SigOfLocs returns the signature of a pair of accesses at program
+// locations l1 and l2, in either order.
+func SigOfLocs(l1, l2 trace.Loc) Signature {
 	if l2 < l1 {
 		l1, l2 = l2, l1
 	}
@@ -256,43 +260,46 @@ type Detector interface {
 	Detect(tr *trace.Trace) Result
 }
 
-// EnumerateCOPs returns all conflicting operation pairs of tr, grouped by
-// location and ordered deterministically (by A, then B). Accesses to
-// volatile locations are skipped: conflicting volatile accesses are not
-// data races (Section 4).
+// EnumerateCOPs returns all conflicting operation pairs of tr ordered by
+// A, then B. Accesses to volatile locations are skipped: conflicting
+// volatile accesses are not data races (Section 4).
+//
+// The pairs are produced in order: each access, in trace order, is
+// paired with the later accesses to its location, which are kept per
+// location in trace order.
 func EnumerateCOPs(tr *trace.Trace) []COP {
-	byAddr := make(map[trace.Addr][]int)
+	slot := make(map[trace.Addr]int32)
+	var byAddr [][]int32          // location slot -> access indices in trace order
+	at := make([]int32, tr.Len()) // event index -> location slot, -1 if none
 	for i := 0; i < tr.Len(); i++ {
+		at[i] = -1
 		e := tr.Event(i)
-		if e.Op.IsAccess() && !tr.Volatile(e.Addr) {
-			byAddr[e.Addr] = append(byAddr[e.Addr], i)
+		if !e.Op.IsAccess() || tr.Volatile(e.Addr) {
+			continue
 		}
+		s, ok := slot[e.Addr]
+		if !ok {
+			s = int32(len(byAddr))
+			slot[e.Addr] = s
+			byAddr = append(byAddr, nil)
+		}
+		at[i] = s
+		byAddr[s] = append(byAddr[s], int32(i))
 	}
-	addrs := make([]trace.Addr, 0, len(byAddr))
-	for a := range byAddr {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-
+	next := make([]int, len(byAddr)) // slot -> position of the next access
 	var out []COP
-	for _, a := range addrs {
-		idxs := byAddr[a]
-		for i := 0; i < len(idxs); i++ {
-			ei := tr.Event(idxs[i])
-			for j := i + 1; j < len(idxs); j++ {
-				ej := tr.Event(idxs[j])
-				if ei.ConflictsWith(ej) {
-					out = append(out, COP{A: idxs[i], B: idxs[j]})
-				}
+	for i, s := range at {
+		if s < 0 {
+			continue
+		}
+		next[s]++
+		ei := tr.Event(i)
+		for _, j := range byAddr[s][next[s]:] {
+			if ei.ConflictsWith(tr.Event(int(j))) {
+				out = append(out, COP{A: i, B: int(j)})
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].A != out[j].A {
-			return out[i].A < out[j].A
-		}
-		return out[i].B < out[j].B
-	})
 	return out
 }
 

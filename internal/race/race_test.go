@@ -1,6 +1,8 @@
 package race
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/trace"
@@ -34,6 +36,39 @@ func TestEnumerateSkipsVolatile(t *testing.T) {
 	b.ReadV(2, 5, 1)
 	if cops := EnumerateCOPs(b.Trace()); len(cops) != 0 {
 		t.Errorf("volatile accesses must not form COPs, got %v", cops)
+	}
+}
+
+// TestEnumerateCOPsMatchesDefinition checks EnumerateCOPs against
+// Definition 3 applied to every event pair, in (A, B) order.
+func TestEnumerateCOPsMatchesDefinition(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for iter := 0; iter < 200; iter++ {
+		b := trace.NewBuilder()
+		b.Volatile(4)
+		for i := 0; i < 80; i++ {
+			tid, x := trace.TID(1+rng.Intn(4)), trace.Addr(1+rng.Intn(5))
+			switch rng.Intn(3) {
+			case 0:
+				b.Write(tid, x, 1)
+			case 1:
+				b.Read(tid, x)
+			default:
+				b.Branch(tid)
+			}
+		}
+		tr := b.Trace()
+		var want []COP
+		for i := 0; i < tr.Len(); i++ {
+			for j := i + 1; j < tr.Len(); j++ {
+				if e := tr.Event(i); e.ConflictsWith(tr.Event(j)) && !tr.Volatile(e.Addr) {
+					want = append(want, COP{A: i, B: j})
+				}
+			}
+		}
+		if got := EnumerateCOPs(tr); !reflect.DeepEqual(got, want) {
+			t.Fatalf("iter %d: EnumerateCOPs = %v, want %v", iter, got, want)
+		}
 	}
 }
 

@@ -425,22 +425,22 @@ func (c *Collector) CountEnumerated(n int) {
 	c.enumerated.Add(int64(n))
 }
 
-// CountQuickCheckFiltered tallies one candidate removed by the hybrid
+// CountQuickCheckFiltered tallies n candidates removed by the hybrid
 // quick-check prefilter.
-func (c *Collector) CountQuickCheckFiltered() {
+func (c *Collector) CountQuickCheckFiltered(n int) {
 	if c == nil {
 		return
 	}
-	c.quickFiltered.Add(1)
+	c.quickFiltered.Add(int64(n))
 }
 
-// CountSigDedup tallies one candidate skipped because its signature was
+// CountSigDedup tallies n candidates skipped because their signature was
 // already decided (seen-set hit or shared parallel verdict).
-func (c *Collector) CountSigDedup() {
+func (c *Collector) CountSigDedup(n int) {
 	if c == nil {
 		return
 	}
-	c.sigDedups.Add(1)
+	c.sigDedups.Add(int64(n))
 }
 
 // CountMHBFiltered tallies one candidate discarded by a must-happen-before
@@ -496,7 +496,7 @@ func (c *Collector) CountPairRollback() {
 // solve time because the group's verdict was already decided (an earlier
 // instance raced, or a parallel window reported the signature between
 // dispatch and dequeue). Distinct from
-// CountSigDedup, which counts candidates deduplicated at partition time:
+// CountSigDedup, which counts candidates deduplicated by the window funnel:
 // keeping the two apart is what makes the candidate funnel identity exact
 // (enumerated = filtered + deduped + confirmed + dispatched).
 func (c *Collector) CountPairSkip() {

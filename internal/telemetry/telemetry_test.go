@@ -27,8 +27,8 @@ func TestNilCollectorIsInert(t *testing.T) {
 	c.AddEncoding(1, 2, 3, 4, 5, 6)
 	c.CountOutcome(OutcomeSat)
 	c.CountEnumerated(10)
-	c.CountQuickCheckFiltered()
-	c.CountSigDedup()
+	c.CountQuickCheckFiltered(1)
+	c.CountSigDedup(1)
 	c.CountMHBFiltered()
 	c.WindowDone(WindowRecord{Events: 1})
 	if m := c.Snapshot(); m != nil {
@@ -56,8 +56,8 @@ func TestCollectorAccumulates(t *testing.T) {
 	c.CountOutcome(OutcomeTimeout)
 	c.CountOutcome(OutcomeConflictBudget)
 	c.CountEnumerated(6)
-	c.CountQuickCheckFiltered()
-	c.CountSigDedup()
+	c.CountQuickCheckFiltered(1)
+	c.CountSigDedup(1)
 	c.CountMHBFiltered()
 	c.WindowDone(WindowRecord{Offset: 100, Events: 50, Findings: 1})
 	c.WindowDone(WindowRecord{Offset: 0, Events: 100, Findings: 2})

@@ -28,7 +28,11 @@ flagged QUERIES-REGRESSION, and with --queries-gate the exit status is
 1 when any row issued more queries than the baseline, independent of
 --strict. This is the triage-ladder regression gate: a query-count
 increase means candidate pairs that a sound tier used to confirm are
-reaching the solver again.
+reaching the solver again. The same gate also fails when a /RV row's
+`candidates` (COPs enumerated) differs from the baseline in either
+direction: the count is deterministic and a property of the trace, so
+any change means the candidate funnel no longer enumerates the pairs
+Definition 3 defines.
 
 --heap-gate checks the out-of-core invariant, and unlike the other
 gates it looks only at the NEW snapshot: benchmarks that report both
@@ -138,7 +142,8 @@ def main() -> int:
                     help="exit 1 when any regression is flagged")
     ap.add_argument("--queries-gate", action="store_true",
                     help="exit 1 when any benchmark issued more solver "
-                         "queries than the baseline (deterministic, so "
+                         "queries than the baseline, or a /RV row's "
+                         "candidates differ from it (deterministic, so "
                          "safe to gate even on noisy runners)")
     ap.add_argument("--heap-gate", action="store_true",
                     help="exit 1 when the new snapshot's live heap grows "
@@ -180,6 +185,13 @@ def main() -> int:
             ov, nv = metric(o, key), metric(e, key)
             if not isinstance(ov, (int, float)) or not isinstance(nv, (int, float)):
                 continue
+            if key == "candidates" and "/RV" in n and nv != ov:
+                # The COP count is fixed by the trace: a change in either
+                # direction is a candidate-funnel bug, not noise.
+                queries_regressions += 1
+                extras.append(f"candidates {ov:g}→{nv:g}")
+                flags.append("CANDIDATES-CHANGED")
+                continue
             if key == "queries" and nv > ov:
                 # Query counts are deterministic: any increase is a triage
                 # regression regardless of the noise threshold.
@@ -212,8 +224,9 @@ def main() -> int:
     if added:
         print(f"only in {args.new}: {', '.join(sorted(added))}")
     if queries_regressions:
-        print(f"{queries_regressions} solver-query regression(s) — "
-              "pairs a sound triage tier used to confirm are reaching the solver")
+        print(f"{queries_regressions} query or candidate-count regression(s) — "
+              "pairs a sound triage tier used to confirm are reaching the solver, "
+              "or the candidate funnel enumerates different pairs")
     if regressions:
         print(f"{regressions} regression(s) beyond {args.threshold:.0f}%")
     heap_violations = heap_gate(new) if args.heap_gate else 0
