@@ -69,6 +69,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/fleet"
 	"repro/internal/journal"
+	"repro/internal/ladder"
 	"repro/internal/race"
 	"repro/internal/tracefile"
 	"repro/internal/tracev2"
@@ -312,14 +313,10 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		inj = in
 		opt.FaultInjector = inj
 	}
-	switch mode := strings.ToLower(*triage); mode {
-	case "on":
-		// default: the full witness-backed ladder (SHB → WCP → SyncP)
-	case "off":
-		opt.NoTriage = true
-	case "shb", "wcp", "syncp", "cp":
-		opt.TriageLevel = mode
-	default:
+	if opt.TriageLevel = strings.ToLower(*triage); opt.TriageLevel == "on" {
+		opt.TriageLevel = "" // the default: the full witness-backed ladder
+	}
+	if _, err := ladder.ParseLevel(opt.TriageLevel); err != nil {
 		fmt.Fprintf(stderr, "rvpredict: unknown -triage mode %q (want on, off, shb, wcp, syncp or cp)\n", *triage)
 		return 2
 	}

@@ -48,6 +48,7 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/introspect"
+	"repro/internal/ladder"
 	"repro/internal/stream"
 	"repro/rvpredict"
 )
@@ -105,14 +106,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Witness:         *witness,
 		PairParallelism: *pairPar,
 	}
-	switch mode := strings.ToLower(*triage); mode {
-	case "on":
-		// default: the full witness-backed ladder (SHB → WCP → SyncP)
-	case "off":
-		detect.NoTriage = true
-	case "shb", "wcp", "syncp", "cp":
-		detect.TriageLevel = mode
-	default:
+	if detect.TriageLevel = strings.ToLower(*triage); detect.TriageLevel == "on" {
+		detect.TriageLevel = "" // the default: the full witness-backed ladder
+	}
+	if _, err := ladder.ParseLevel(detect.TriageLevel); err != nil {
 		fmt.Fprintf(stderr, "rvpredictd: unknown -triage mode %q (want on, off, shb, wcp, syncp or cp)\n", *triage)
 		return 2
 	}

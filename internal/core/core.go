@@ -44,6 +44,7 @@ import (
 
 	"repro/internal/encode"
 	"repro/internal/faultinject"
+	"repro/internal/ladder"
 	"repro/internal/race"
 	"repro/internal/sat"
 	"repro/internal/smt"
@@ -87,36 +88,31 @@ type Options struct {
 	// NoPruning disables the ≺-based constraint reductions of Section 3.2
 	// (ablation knob; results are unchanged, formulas grow).
 	NoPruning bool
-	// NoTriage disables the sound vector-clock triage tier that runs
-	// before the pair scheduler (triage.go): quick-check survivors that
-	// are concurrent under schedulable happens-before (HB plus reads-from
-	// edges) are confirmed as races without a solver query. The race
-	// result is bit-identical with triage on or off — the fast path fires
-	// only where the SMT query is guaranteed satisfiable — absent real
-	// wall-clock solver timeouts, which are inherently timing-dependent.
-	// Triage is also inactive when NoQuickCheck is set (it shares the
-	// quick check's locksets and MHB pass).
-	NoTriage bool
-	// TriageLevel selects how far down the sound triage ladder a
-	// quick-check survivor may be confirmed before SMT dispatch:
+	// TriageLevel selects how far up the sound confirmation ladder
+	// (internal/ladder) a quick-check survivor may be confirmed as a race
+	// without a solver query, before SMT dispatch:
 	//
-	//	"shb"   — SHB epoch/clock tier only (PR 4's behaviour)
+	//	"off"   — no triage: every survivor goes to the solver
+	//	"shb"   — the SHB epoch/clock rung only
 	//	"wcp"   — plus the weak-causally-precedes gate backed by the
 	//	          sync-preserving witness check (internal/wcp)
 	//	"syncp" — plus the sync-preserving witness check on its own
 	//	          (internal/syncp); the default ("" means "syncp")
-	//	"cp"    — plus the opt-in causally-precedes tier: pairs no
-	//	          witness-backed tier confirms are checked against the CP
+	//	"cp"    — plus the opt-in causally-precedes rung: pairs no
+	//	          witness-backed rung confirms are checked against the CP
 	//	          relation composed with SHB (the paper's CP ⊆ RV
 	//	          inclusion chain). Off by default — the witness-backed
-	//	          tiers are provably exact per pair, while the CP tier
+	//	          rungs are provably exact per pair, while the CP rung
 	//	          inherits the CP soundness theorem's assumptions.
 	//
-	// Every level yields a bit-identical race.Result — the tiers only
-	// decide which pairs skip the solver — so the level is a pure
+	// Every level yields a bit-identical race.Result — a rung fires only
+	// where the SMT query is guaranteed satisfiable, so the level only
+	// decides which pairs skip the solver — absent real wall-clock solver
+	// timeouts, which are inherently timing-dependent. It is a pure
 	// performance knob, excluded from the journal fingerprint.
-	// Unrecognised values fall back to the default. Ignored when
-	// NoTriage is set.
+	// Unrecognised values fall back to the default. Triage is off when
+	// NoQuickCheck is set (it shares the quick check's locksets and MHB
+	// pass).
 	TriageLevel string
 	// MergeRaceVars uses the paper's variable-merging race encoding
 	// (O_a := O_b) instead of the default explicit adjacency
@@ -192,6 +188,8 @@ type Options struct {
 // Detector is the paper's maximal race detector ("RV" in Table 1).
 type Detector struct {
 	opt Options
+	// top is the resolved ladder height the funnel triages up to.
+	top ladder.Level
 
 	// budget is the worker budget, capacity
 	// max(Parallelism, PairParallelism, 1): window coordinators
@@ -202,11 +200,12 @@ type Detector struct {
 
 // New returns a detector with the given options.
 func New(opt Options) *Detector {
-	return &Detector{opt: opt, budget: make(chan struct{}, max(opt.Parallelism, opt.PairParallelism, 1))}
+	top, _ := ladder.ParseLevel(opt.TriageLevel) // unknown names fall back to the default
+	if opt.NoQuickCheck {
+		top = ladder.Off
+	}
+	return &Detector{opt: opt, top: top, budget: make(chan struct{}, max(opt.Parallelism, opt.PairParallelism, 1))}
 }
-
-// Name implements race.Detector.
-func (*Detector) Name() string { return "RV" }
 
 // Detect runs maximal race detection over tr.
 func (d *Detector) Detect(tr *trace.Trace) race.Result {
@@ -515,20 +514,31 @@ func (d *Detector) AnalyseWindow(ctx context.Context, deadline time.Time, w *tra
 	// The candidate funnel and signature grouping run up front; the pair
 	// scheduler then solves the groups (in parallel when PairParallelism
 	// > 1) and the results join the outcome below in canonical group
-	// order, so the window's contribution is deterministic.
+	// order, so the window's contribution is deterministic. One lazy
+	// ladder serves the funnel's triage and the provenance stamp, so a
+	// window builds each rung's state at most once.
+	lad := ladder.New(w)
 	fsp := col.BeginSpan("funnel", lane, wspan.ID())
-	groups, mhb, candidates := d.funnel(w, skip)
+	groups, mhb, candidates := d.funnel(w, lad, skip)
 	fsp.End()
 	out.Candidates = candidates
 	col.CountPairGroups(len(groups))
-	// Provenance attribution is lazy: only windows that report a race
-	// pay for the attributor's clock passes.
-	var att *attributor
+	// report stamps one race's provenance: the confirming tier — the
+	// cheapest rung of the whole ladder that proves the race, whatever
+	// rung fired this run, so provenance is identical across triage
+	// levels — the window and the witness length. Solver query stats
+	// were captured at solve time; they are kept only for SMT-tier races:
+	// for the others the solve is optional (the fast path skips it), and
+	// keeping its stats would break bit-identity between triage levels.
 	report := func(r race.Race) {
-		if att == nil {
-			att = newAttributor(w)
+		r.Prov.Tier = lad.Tier(r.A-offset, r.B-offset, ladder.CP)
+		if r.Prov.Tier == "" {
+			r.Prov.Tier = race.TierSMT
+		} else {
+			r.Prov.Decisions, r.Prov.Propagations, r.Prov.Conflicts = 0, 0, 0
 		}
-		att.stamp(&r, widx, offset)
+		r.Prov.Window = widx
+		r.Prov.WitnessLen = len(r.Witness)
 		out.Races = append(out.Races, r)
 	}
 	switch {
@@ -584,13 +594,11 @@ func (d *Detector) AnalyseWindow(ctx context.Context, deadline time.Time, w *tra
 			}
 		}
 	}
-	if att != nil {
-		att.release()
-	}
+	// Clean window completion: return the clock slabs to the shared
+	// pool. The panic path above skips this deliberately — a worker
+	// could still alias the slabs — and lets the GC reclaim them.
+	lad.Release()
 	if mhb != nil {
-		// Clean window completion: return the clock slab to the shared
-		// pool. The panic path above skips this deliberately — a worker
-		// could still alias the slab — and lets the GC reclaim it.
 		mhb.Release()
 	}
 	if ctx.Err() != nil {

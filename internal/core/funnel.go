@@ -22,7 +22,9 @@ package core
 
 import (
 	"sort"
+	"time"
 
+	"repro/internal/ladder"
 	"repro/internal/lockset"
 	"repro/internal/race"
 	"repro/internal/telemetry"
@@ -43,10 +45,11 @@ type funnelCounts struct {
 // a concurrent driver updates the hint mid-window. The window MHB clocks
 // are computed only when some pair needs the MHB check, and the one pass
 // is shared by the quick check, the triage tier and (via the returned
-// value) the window encoders. Survivors are classified by the triage tier
-// (triage.go) in canonical order, so its tallies are deterministic under
-// any worker count. The returned count is the window's enumerated COPs.
-func (d *Detector) funnel(w *trace.Trace, skip func(race.Signature) bool) ([]*sigGroup, *vc.MHB, int) {
+// value) the window encoders. Survivors are classified on the window's
+// ladder lad in canonical order, so the triage tallies are deterministic
+// under any worker count. The returned count is the window's enumerated
+// COPs.
+func (d *Detector) funnel(w *trace.Trace, lad *ladder.Ladder, skip func(race.Signature) bool) ([]*sigGroup, *vc.MHB, int) {
 	col := d.opt.Telemetry
 	skipped := skipOnce(skip)
 	var (
@@ -77,7 +80,7 @@ func (d *Detector) funnel(w *trace.Trace, skip func(race.Signature) bool) ([]*si
 	col.CountEnumerated(n.enumerated)
 	col.CountSigDedup(n.dedup)
 	col.CountQuickCheckFiltered(n.filtered)
-	return d.group(w, cops), mhb, n.enumerated
+	return d.group(w, lad, cops), mhb, n.enumerated
 }
 
 // skipOnce memoises skip for one window (nil stays nil).
@@ -299,21 +302,30 @@ func bucketAccesses(w *trace.Trace, of []int32, sets *lockset.Sets) ([]bucket, [
 	return buckets, members
 }
 
-// group triages the surviving COPs, in (A, B) order, and groups them by
-// signature in order of each signature's first instance.
-func (d *Detector) group(w *trace.Trace, cops []race.COP) []*sigGroup {
+// group triages the surviving COPs, in (A, B) order, on the ladder up to
+// the detector's level — tallying each pair on its confirming rung, or as
+// dispatched — and groups them by signature in order of each signature's
+// first instance. With telemetry on, the classification is timed once
+// per window as the triage fast path.
+func (d *Detector) group(w *trace.Trace, lad *ladder.Ladder, cops []race.COP) []*sigGroup {
+	col := d.opt.Telemetry
+	triage := d.top != ladder.Off
+	if triage && len(cops) > 0 && col.Enabled() {
+		defer func(t0 time.Time) { col.AddTriageFastPath(time.Since(t0)) }(time.Now())
+	}
 	var (
 		groups []*sigGroup
 		index  map[race.Signature]int
-		tri    *triage
 	)
 	for _, cop := range cops {
 		confirmed := false
-		if d.triageOn() {
-			if tri == nil {
-				tri = d.newTriage(w)
+		if triage {
+			if tier := lad.Tier(cop.A, cop.B, d.top); tier != "" {
+				col.CountTriageConfirmed(tier)
+				confirmed = true
+			} else {
+				col.CountTriageDispatched()
 			}
-			confirmed = tri.confirm(cop)
 		}
 		sig := race.SigOf(w, cop.A, cop.B)
 		gi, ok := index[sig]
@@ -326,12 +338,9 @@ func (d *Detector) group(w *trace.Trace, cops []race.COP) []*sigGroup {
 			groups = append(groups, &sigGroup{sig: sig})
 		}
 		groups[gi].cops = append(groups[gi].cops, cop)
-		if tri != nil {
+		if triage {
 			groups[gi].confirmed = append(groups[gi].confirmed, confirmed)
 		}
-	}
-	if tri != nil {
-		tri.release()
 	}
 	return groups
 }

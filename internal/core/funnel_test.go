@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/fixtures"
+	"repro/internal/ladder"
 	"repro/internal/lockset"
 	"repro/internal/race"
 	"repro/internal/telemetry"
@@ -37,7 +39,9 @@ func referenceFunnel(d *Detector, w *trace.Trace, skip func(race.Signature) bool
 		}
 		survivors = append(survivors, cop)
 	}
-	return d.group(w, survivors)
+	lad := ladder.New(w)
+	defer lad.Release()
+	return d.group(w, lad, survivors)
 }
 
 // funnelCase is one generated window with the funnel's inputs.
@@ -47,96 +51,11 @@ type funnelCase struct {
 	opt  Options
 }
 
-// randomFunnelTrace builds a consistent trace for the funnel: a root
-// thread forking and joining up to three workers, nested critical
-// sections over three locks, accesses to four locations (one possibly
-// volatile) from a handful of program locations, so that signatures,
-// locksets and MHB orderings all repeat across many pairs.
-func randomFunnelTrace(rng *rand.Rand, n int) *trace.Trace {
-	b := trace.NewBuilder()
-	if rng.Intn(2) == 0 {
-		b.Volatile(4)
-	}
-	const root = trace.TID(1)
-	b.Begin(root)
-	workers := 1 + rng.Intn(3)
-	state := map[trace.TID]int{root: 1} // 0 unforked, 1 running, 2 ended, 3 joined
-	held := map[trace.TID][]trace.Addr{}
-	owner := map[trace.Addr]trace.TID{}
-	release := func(t trace.TID, k int) {
-		l := held[t][k]
-		b.Release(t, l)
-		held[t] = append(held[t][:k], held[t][k+1:]...)
-		delete(owner, l)
-	}
-	for i := 0; i < n; i++ {
-		var live []trace.TID
-		for t := root; t <= trace.TID(workers+1); t++ {
-			if state[t] == 1 {
-				live = append(live, t)
-			}
-		}
-		t := live[rng.Intn(len(live))]
-		b.At(trace.Loc(1 + rng.Intn(6)))
-		switch r := rng.Intn(12); {
-		case r < 3:
-			b.Write(t, trace.Addr(1+rng.Intn(4)), int64(rng.Intn(3)))
-		case r < 6:
-			b.Read(t, trace.Addr(1+rng.Intn(4)))
-		case r < 8:
-			if l := trace.Addr(7 + rng.Intn(3)); owner[l] == 0 {
-				b.Acquire(t, l)
-				owner[l] = t
-				held[t] = append(held[t], l)
-			}
-		case r < 10:
-			if len(held[t]) > 0 {
-				release(t, rng.Intn(len(held[t])))
-			}
-		case r == 10 && t == root:
-			if c := root + trace.TID(1+rng.Intn(workers)); state[c] == 0 {
-				b.Fork(root, c)
-				b.Begin(c)
-				state[c] = 1
-			} else if state[c] == 2 {
-				b.Join(root, c)
-				state[c] = 3
-			}
-		case r == 10 && t != root:
-			for len(held[t]) > 0 {
-				release(t, 0)
-			}
-			b.End(t)
-			state[t] = 2
-		default:
-			b.Branch(t)
-		}
-	}
-	for t := root; t <= trace.TID(workers+1); t++ {
-		for len(held[t]) > 0 {
-			release(t, 0)
-		}
-		if t != root && state[t] == 1 {
-			b.End(t)
-			state[t] = 2
-		}
-		if t != root && state[t] == 2 {
-			b.Join(root, t)
-		}
-	}
-	b.End(root)
-	tr := b.Trace()
-	if err := tr.Validate(); err != nil {
-		panic(err)
-	}
-	return tr
-}
-
 // funnelCases derives windows, skip sets and option variants from one
 // random trace: windows are cut at arbitrary points, so they start inside
 // critical sections and after forks.
 func funnelCases(rng *rand.Rand) []funnelCase {
-	tr := randomFunnelTrace(rng, 20+rng.Intn(100))
+	tr := fixtures.Random(rng, 20+rng.Intn(100))
 	size := 0
 	if rng.Intn(3) > 0 {
 		size = 5 + rng.Intn(tr.Len())
@@ -145,7 +64,7 @@ func funnelCases(rng *rand.Rand) []funnelCase {
 		{},
 		{TriageLevel: "shb"},
 		{TriageLevel: "cp"},
-		{NoTriage: true},
+		{TriageLevel: "off"},
 		{NoQuickCheck: true},
 	}
 	var out []funnelCase
@@ -173,7 +92,9 @@ func checkFunnel(c funnelCase) error {
 	gotCol, wantCol := telemetry.NewCollector(), telemetry.NewCollector()
 	got := New(withTelemetry(c.opt, gotCol))
 	want := New(withTelemetry(c.opt, wantCol))
-	gotGroups, mhb, candidates := got.funnel(c.w, skip)
+	lad := ladder.New(c.w)
+	defer lad.Release()
+	gotGroups, mhb, candidates := got.funnel(c.w, lad, skip)
 	if mhb != nil {
 		mhb.Release()
 	}
@@ -214,7 +135,9 @@ func TestCandidateFunnelMatchesReference(t *testing.T) {
 			if err := checkFunnel(c); err != nil {
 				t.Fatalf("iter %d: %v\nwindow:\n%s", iter, err, dumpTrace(c.w))
 			}
-			groups, mhb, _ := New(Options{Telemetry: col}).funnel(c.w, func(sig race.Signature) bool { return c.skip[sig] })
+			lad := ladder.New(c.w)
+			groups, mhb, _ := New(Options{Telemetry: col}).funnel(c.w, lad, func(sig race.Signature) bool { return c.skip[sig] })
+			lad.Release()
 			if mhb != nil {
 				mhb.Release()
 			}

@@ -57,7 +57,7 @@ type sigGroup struct {
 	cops []race.COP
 	// confirmed holds the triage tier's verdict per instance, parallel to
 	// cops: true means the instance is a sound vector-clock-confirmed race
-	// whose solve may be skipped (triage.go). Nil when the tier is off.
+	// whose solve may be skipped (internal/ladder). Nil when triage is off.
 	confirmed []bool
 }
 
@@ -327,7 +327,7 @@ func (d *Detector) solveGroup(wc *windowCtx, ws *windowSolver, g *sigGroup) *gro
 		}
 		if g.confirmed != nil && g.confirmed[k] && !d.opt.Witness {
 			// Triage fast path: the vector-clock tier proved this instance's
-			// query satisfiable (triage.go), so the SAT verdict is recorded
+			// query satisfiable (internal/ladder), so the SAT verdict is recorded
 			// without touching the solver. The attempt still counts exactly
 			// like a solved query — COPsChecked and the reported race are
 			// bit-identical to the triage-off run — and the tracer still
@@ -392,9 +392,9 @@ func (d *Detector) solveGroup(wc *windowCtx, ws *windowSolver, g *sigGroup) *gro
 				COP: race.COP{A: cop.A + wc.offset, B: cop.B + wc.offset},
 				Sig: g.sig,
 			}
-			// Query stats for provenance; kept only if the merge-time
-			// attribution decides the SMT tier was necessary
-			// (attributor.stamp zeroes them otherwise).
+			// Query stats for provenance; kept only if the provenance
+			// stamp decides the SMT tier was necessary (AnalyseWindow's
+			// report zeroes them otherwise).
 			gr.race.Prov.Decisions = qs.decisions
 			gr.race.Prov.Propagations = qs.propagations
 			gr.race.Prov.Conflicts = qs.conflicts

@@ -66,7 +66,7 @@ func TestCheckpointPhaseTimed(t *testing.T) {
 	col := telemetry.NewCollector()
 	rec := telemetry.NewSpanRecorder(0)
 	col.AttachSpans(rec)
-	res := New(Options{NoTriage: true, Telemetry: col}).Detect(pairRichTrace())
+	res := New(Options{TriageLevel: "off", Telemetry: col}).Detect(pairRichTrace())
 	if len(res.Races) == 0 {
 		t.Fatal("fixture produced no races")
 	}

@@ -109,7 +109,7 @@ func TestTriageBitIdentityMatrix(t *testing.T) {
 	withProcs(t, 4)
 	for _, tc := range triageFixtures(t) {
 		for _, witness := range []bool{false, true} {
-			base := triageResult(tc.tr, tc.window, Options{NoTriage: true, Witness: witness})
+			base := triageResult(tc.tr, tc.window, Options{TriageLevel: "off", Witness: witness})
 			if tc.racy && len(base.Races) == 0 {
 				t.Fatalf("%s: expected races in the fixture", tc.name)
 			}
@@ -177,17 +177,17 @@ func TestTriageTelemetryCounters(t *testing.T) {
 	}
 
 	col = telemetry.NewCollector()
-	res = New(Options{WindowSize: 10000, NoTriage: true, Telemetry: col}).Detect(tr)
+	res = New(Options{WindowSize: 10000, TriageLevel: "off", Telemetry: col}).Detect(tr)
 	m = col.Snapshot()
 	if tg := m.Triage; tg.Confirmed != 0 || tg.WCPConfirmed != 0 || tg.SyncPConfirmed != 0 ||
 		tg.CPConfirmed != 0 || tg.Dispatched != 0 || tg.FastPathNS != 0 {
-		t.Errorf("NoTriage run has non-zero triage block: %+v", tg)
+		t.Errorf("triage-off run has non-zero triage block: %+v", tg)
 	}
 	if m.Outcomes.Sat != int64(ex.RV) {
-		t.Errorf("NoTriage sat outcomes = %d, want %d", m.Outcomes.Sat, ex.RV)
+		t.Errorf("triage-off sat outcomes = %d, want %d", m.Outcomes.Sat, ex.RV)
 	}
 	if len(res.Races) != ex.RV {
-		t.Errorf("NoTriage races = %d, want %d", len(res.Races), ex.RV)
+		t.Errorf("triage-off races = %d, want %d", len(res.Races), ex.RV)
 	}
 }
 
@@ -208,7 +208,7 @@ func TestTriageWitnessesStillSolve(t *testing.T) {
 	}
 }
 
-// TestProvenanceTierAttribution pins the attributor's exact tier per
+// TestProvenanceTierAttribution pins the provenance stamp's exact tier per
 // motif shape on hand-built filler-free traces (the fuzzed workload
 // fixtures add filler lock traffic that legitimately shifts WCP
 // attributions — rule (a) edges appear — so exact-tier assertions need
@@ -299,8 +299,8 @@ func TestProvenanceTierAttribution(t *testing.T) {
 		if err := tr.Validate(); err != nil {
 			t.Fatalf("%s: fixture invalid: %v", sh.name, err)
 		}
-		// NoTriage: attribution must not depend on which fast path fired.
-		for _, opt := range []Options{{}, {NoTriage: true}, {TriageLevel: "cp"}} {
+		// Triage off: attribution must not depend on which fast path fired.
+		for _, opt := range []Options{{}, {TriageLevel: "off"}, {TriageLevel: "cp"}} {
 			res := New(opt).Detect(tr)
 			if len(res.Races) != 1 {
 				t.Fatalf("%s (opt %+v): races = %d, want exactly 1", sh.name, opt, len(res.Races))

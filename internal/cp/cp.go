@@ -27,7 +27,6 @@ package cp
 
 import (
 	"sort"
-	"time"
 
 	"repro/internal/hb"
 	"repro/internal/race"
@@ -49,33 +48,17 @@ type Detector struct {
 // New returns a CP detector.
 func New(opt Options) *Detector { return &Detector{opt: opt} }
 
-// Name implements race.Detector.
-func (*Detector) Name() string { return "CP" }
-
 // Detect reports all COPs not CP-ordered, one per signature.
 func (d *Detector) Detect(tr *trace.Trace) race.Result {
-	start := time.Now()
-	var res race.Result
-	seen := make(map[race.Signature]bool)
-	res.Windows = race.Windows(tr, d.opt.WindowSize, func(w *trace.Trace, offset int) {
+	return race.Scan(tr, d.opt.WindowSize, func(w *trace.Trace) (func(a, b int) string, func()) {
 		rel := Compute(w)
-		for _, cop := range race.EnumerateCOPs(w) {
-			sig := race.SigOf(w, cop.A, cop.B)
-			if seen[sig] {
-				continue
+		return func(a, b int) string {
+			if rel.Ordered(a, b) {
+				return ""
 			}
-			res.COPsChecked++
-			if !rel.Ordered(cop.A, cop.B) {
-				seen[sig] = true
-				res.Races = append(res.Races, race.Race{
-					COP: race.COP{A: cop.A + offset, B: cop.B + offset},
-					Sig: sig,
-				})
-			}
-		}
+			return race.TierCP
+		}, rel.Release
 	})
-	res.Elapsed = time.Since(start)
-	return res
 }
 
 // corePair is a CP edge between a release and a later acquire of one lock,

@@ -10,12 +10,17 @@
 //     lockset hybrid still reports it.
 //   - Figure2: the volatile example whose two cases produce identical
 //     read/write traces distinguishable only by branch events.
+//   - Random: consistent random traces for property tests and fuzzing.
 //
 // Location IDs follow the paper's line numbers, so expected races can be
 // written as signature pairs of line numbers.
 package fixtures
 
-import "repro/trace"
+import (
+	"math/rand"
+
+	"repro/trace"
+)
 
 // Variable and lock identifiers of the Figure 1 program.
 const (
@@ -107,4 +112,90 @@ func Figure2Indices(branchCase bool) (writeX, readX int) {
 		return 0, 4
 	}
 	return 0, 3
+}
+
+// Random builds a consistent random trace of about n steps for
+// property tests: a root thread forking and joining up to three workers,
+// nested critical sections over three locks, accesses to four locations
+// (one possibly volatile) from a handful of program locations, so that
+// signatures, locksets and happens-before orderings all repeat across
+// many pairs.
+func Random(rng *rand.Rand, n int) *trace.Trace {
+	b := trace.NewBuilder()
+	if rng.Intn(2) == 0 {
+		b.Volatile(4)
+	}
+	const root = trace.TID(1)
+	b.Begin(root)
+	workers := 1 + rng.Intn(3)
+	state := map[trace.TID]int{root: 1} // 0 unforked, 1 running, 2 ended, 3 joined
+	held := map[trace.TID][]trace.Addr{}
+	owner := map[trace.Addr]trace.TID{}
+	release := func(t trace.TID, k int) {
+		l := held[t][k]
+		b.Release(t, l)
+		held[t] = append(held[t][:k], held[t][k+1:]...)
+		delete(owner, l)
+	}
+	for i := 0; i < n; i++ {
+		var live []trace.TID
+		for t := root; t <= trace.TID(workers+1); t++ {
+			if state[t] == 1 {
+				live = append(live, t)
+			}
+		}
+		t := live[rng.Intn(len(live))]
+		b.At(trace.Loc(1 + rng.Intn(6)))
+		switch r := rng.Intn(12); {
+		case r < 3:
+			b.Write(t, trace.Addr(1+rng.Intn(4)), int64(rng.Intn(3)))
+		case r < 6:
+			b.Read(t, trace.Addr(1+rng.Intn(4)))
+		case r < 8:
+			if l := trace.Addr(7 + rng.Intn(3)); owner[l] == 0 {
+				b.Acquire(t, l)
+				owner[l] = t
+				held[t] = append(held[t], l)
+			}
+		case r < 10:
+			if len(held[t]) > 0 {
+				release(t, rng.Intn(len(held[t])))
+			}
+		case r == 10 && t == root:
+			if c := root + trace.TID(1+rng.Intn(workers)); state[c] == 0 {
+				b.Fork(root, c)
+				b.Begin(c)
+				state[c] = 1
+			} else if state[c] == 2 {
+				b.Join(root, c)
+				state[c] = 3
+			}
+		case r == 10 && t != root:
+			for len(held[t]) > 0 {
+				release(t, 0)
+			}
+			b.End(t)
+			state[t] = 2
+		default:
+			b.Branch(t)
+		}
+	}
+	for t := root; t <= trace.TID(workers+1); t++ {
+		for len(held[t]) > 0 {
+			release(t, 0)
+		}
+		if t != root && state[t] == 1 {
+			b.End(t)
+			state[t] = 2
+		}
+		if t != root && state[t] == 2 {
+			b.Join(root, t)
+		}
+	}
+	b.End(root)
+	tr := b.Trace()
+	if err := tr.Validate(); err != nil {
+		panic(err)
+	}
+	return tr
 }

@@ -145,7 +145,7 @@ func (s *Server) Close() error {
 //
 // holds exactly: the candidate funnel classifies every enumerated
 // candidate into exactly one of those bins (solve-time skips count
-// separately as pair_skips). The NoTriage/NoQuickCheck ablations bypass classification,
+// separately as pair_skips). The triage-off and NoQuickCheck ablations bypass classification,
 // so the triage terms undercount there.
 type Funnel struct {
 	Enumerated           int64 `json:"candidates_enumerated"`
@@ -438,7 +438,7 @@ var metricDefs = []metricDef{
 		func(_ *Server, m *telemetry.Metrics) []sample { return one(float64(m.Triage.CPConfirmed)) }},
 	{"rvpredict_triage_dispatched_total", "counter", "COPs the triage tier passed to the SMT scheduler.",
 		func(_ *Server, m *telemetry.Metrics) []sample { return one(float64(m.Triage.Dispatched)) }},
-	{"rvpredict_triage_fast_path_seconds_total", "counter", "Wall-clock time spent in the triage fast path.",
+	{"rvpredict_triage_fast_path_seconds_total", "counter", "Wall-clock time classifying window survivors on the triage ladder.",
 		func(_ *Server, m *telemetry.Metrics) []sample { return one(secs(m.Triage.FastPathNS)) }},
 	{"rvpredict_journal_records_total", "counter", "Window records appended to the durable journal.",
 		func(_ *Server, m *telemetry.Metrics) []sample { return one(float64(m.Journal.RecordsWritten)) }},

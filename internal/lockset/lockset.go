@@ -15,7 +15,6 @@ package lockset
 import (
 	"encoding/binary"
 	"sort"
-	"time"
 
 	"repro/internal/race"
 	"repro/internal/vc"
@@ -201,31 +200,16 @@ type Detector struct {
 // New returns a quick-check detector.
 func New(opt Options) *Detector { return &Detector{opt: opt} }
 
-// Name implements race.Detector.
-func (*Detector) Name() string { return "QC" }
-
 // Detect reports all COPs passing the quick check, one per signature.
 func (d *Detector) Detect(tr *trace.Trace) race.Result {
-	start := time.Now()
-	var res race.Result
-	seen := make(map[race.Signature]bool)
-	res.Windows = race.Windows(tr, d.opt.WindowSize, func(w *trace.Trace, offset int) {
-		sets := Compute(w)
-		for _, cop := range race.EnumerateCOPs(w) {
-			sig := race.SigOf(w, cop.A, cop.B)
-			if seen[sig] {
-				continue
+	return race.Scan(tr, d.opt.WindowSize, func(w *trace.Trace) (func(a, b int) string, func()) {
+		mhb := vc.ComputeMHB(w)
+		sets := ComputeWith(w, mhb)
+		return func(a, b int) string {
+			if sets.Pass(a, b) {
+				return race.TierQuickCheck
 			}
-			res.COPsChecked++
-			if sets.Pass(cop.A, cop.B) {
-				seen[sig] = true
-				res.Races = append(res.Races, race.Race{
-					COP: race.COP{A: cop.A + offset, B: cop.B + offset},
-					Sig: sig,
-				})
-			}
-		}
+			return ""
+		}, mhb.Release
 	})
-	res.Elapsed = time.Since(start)
-	return res
 }

@@ -51,7 +51,7 @@ const (
 	// TierSHB: the pair is concurrent under schedulable happens-before
 	// (SHB clocks, including the reads-from pre-join check), which —
 	// together with disjoint locksets — soundly proves the SMT query
-	// satisfiable (see internal/core/triage.go).
+	// satisfiable (see internal/ladder).
 	TierSHB = "shb"
 	// TierWCP: SHB cannot confirm the pair, but it is unordered by the
 	// weak-causally-precedes gate (internal/wcp) and the sync-preserving
@@ -122,9 +122,8 @@ type Race struct {
 	// of Definition 4. Only the SMT-based detectors produce witnesses.
 	Witness []int
 	// Prov records why the race is trusted (confirming tier, window,
-	// solver stats, replay origin). The core detector stamps it on every
-	// race; the public rvpredict layer fills in the baseline detectors'
-	// tiers.
+	// solver stats, replay origin). Every detector stamps it on every
+	// race.
 	Prov Provenance
 }
 
@@ -253,13 +252,6 @@ type WindowOutcome struct {
 // Count returns the number of distinct races found.
 func (r Result) Count() int { return len(r.Races) }
 
-// Detector is the common interface of the four techniques (RV, Said, CP,
-// HB), used by the evaluation harness.
-type Detector interface {
-	Name() string
-	Detect(tr *trace.Trace) Result
-}
-
 // EnumerateCOPs returns all conflicting operation pairs of tr ordered by
 // A, then B. Accesses to volatile locations are skipped: conflicting
 // volatile accesses are not data races (Section 4).
@@ -320,6 +312,43 @@ func Windows(tr *trace.Trace, size int, f func(w *trace.Trace, offset int)) int 
 		f(w.Trace, w.Offset)
 	}
 	return len(ws)
+}
+
+// Scan is the one per-pair loop of the vector-clock detectors. Per
+// window of tr (see Windows), newVerdict builds the window's verdict —
+// tier names the tier that proves the COP (a, b), in window-local
+// indices, a race, or "" — and release frees its state once the window
+// is done. Scan visits the window's COPs in (A, B) order, skips those
+// whose signature already raced, counts the rest in COPsChecked, and
+// reports each pair the verdict names a tier for, in whole-trace
+// coordinates, with that tier and the window index as its provenance.
+func Scan(tr *trace.Trace, size int, newVerdict func(w *trace.Trace) (tier func(a, b int) string, release func())) Result {
+	start := time.Now()
+	var res Result
+	seen := make(map[Signature]bool)
+	slices := WindowSlices(tr, size)
+	for widx, s := range slices {
+		tier, release := newVerdict(s.Trace)
+		for _, cop := range EnumerateCOPs(s.Trace) {
+			sig := SigOf(s.Trace, cop.A, cop.B)
+			if seen[sig] {
+				continue
+			}
+			res.COPsChecked++
+			if t := tier(cop.A, cop.B); t != "" {
+				seen[sig] = true
+				res.Races = append(res.Races, Race{
+					COP:  COP{A: cop.A + s.Offset, B: cop.B + s.Offset},
+					Sig:  sig,
+					Prov: Provenance{Tier: t, Window: widx},
+				})
+			}
+		}
+		release()
+	}
+	res.Windows = len(slices)
+	res.Elapsed = time.Since(start)
+	return res
 }
 
 // WindowSlice is one analysis window with its offset in the parent trace.

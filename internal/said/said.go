@@ -50,9 +50,6 @@ type Detector struct {
 // New returns a Said et al. detector.
 func New(opt Options) *Detector { return &Detector{opt: opt} }
 
-// Name implements race.Detector.
-func (*Detector) Name() string { return "Said" }
-
 // Detect checks every quick-check-surviving COP by SMT with whole-trace
 // read–write consistency.
 func (d *Detector) Detect(tr *trace.Trace) race.Result {
@@ -72,10 +69,12 @@ func (d *Detector) DetectContext(ctx context.Context, tr *trace.Trace) race.Resu
 	start := time.Now()
 	var res race.Result
 	seen := make(map[race.Signature]bool)
-	res.Windows = race.Windows(tr, d.opt.WindowSize, func(w *trace.Trace, offset int) {
+	slices := race.WindowSlices(tr, d.opt.WindowSize)
+	for widx, s := range slices {
+		w, offset := s.Trace, s.Offset
 		if ctx.Err() != nil {
 			res.Cancelled = true
-			return
+			continue
 		}
 		var (
 			sets   *lockset.Sets
@@ -114,8 +113,9 @@ func (d *Detector) DetectContext(ctx context.Context, tr *trace.Trace) race.Resu
 			if ok {
 				seen[sig] = true
 				r := race.Race{
-					COP: race.COP{A: cop.A + offset, B: cop.B + offset},
-					Sig: sig,
+					COP:  race.COP{A: cop.A + offset, B: cop.B + offset},
+					Sig:  sig,
+					Prov: race.Provenance{Tier: race.TierSMT, Window: widx, WitnessLen: len(witness)},
 				}
 				if witness != nil {
 					r.Witness = rebase(witness, offset)
@@ -123,7 +123,8 @@ func (d *Detector) DetectContext(ctx context.Context, tr *trace.Trace) race.Resu
 				res.Races = append(res.Races, r)
 			}
 		}
-	})
+	}
+	res.Windows = len(slices)
 	if ctx.Err() != nil {
 		res.Cancelled = true
 	}

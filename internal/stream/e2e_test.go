@@ -195,11 +195,10 @@ func TestStreamTriageRungsMatchBatch(t *testing.T) {
 		{"mergesort/", mergesort, spec.Window},
 	}
 	rungs := []struct {
-		name     string
-		noTriage bool
-		level    string
+		name  string
+		level string
 	}{
-		{name: "default"}, {name: "notriage", noTriage: true},
+		{name: "default"}, {name: "notriage", level: "off"},
 		{name: "shb", level: "shb"}, {name: "wcp", level: "wcp"},
 		{name: "syncp", level: "syncp"}, {name: "cp", level: "cp"},
 	}
@@ -208,7 +207,7 @@ func TestStreamTriageRungsMatchBatch(t *testing.T) {
 		for _, rung := range rungs {
 			t.Run(fx.prefix+rung.name, func(t *testing.T) {
 				opt := rvpredict.Options{WindowSize: fx.window, Witness: true}
-				opt.NoTriage, opt.TriageLevel = rung.noTriage, rung.level
+				opt.TriageLevel = rung.level
 				col := telemetry.NewCollector()
 				_, addr := startDaemon(t, stream.Options{
 					StateDir:  t.TempDir(),

@@ -372,7 +372,7 @@ func (s *session) dispatchWindow(ctx context.Context, live bool) error {
 		s.degraded++
 	}
 	for _, r := range s.merge.Add(out, status) {
-		pr, err := rvpredict.RenderRace(windowEvents{w, offset}, r, s.d.opt.Detect)
+		pr, err := rvpredict.RenderRace(windowEvents{w, offset}, r)
 		if err != nil {
 			return err
 		}

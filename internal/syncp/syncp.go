@@ -57,11 +57,8 @@ package syncp
 
 import (
 	"sort"
-	"time"
 
 	"repro/internal/hb"
-	"repro/internal/lockset"
-	"repro/internal/race"
 	"repro/internal/vc"
 	"repro/trace"
 )
@@ -75,7 +72,7 @@ type section struct {
 }
 
 // Index answers witness-check queries for one (windowed) trace. The SR
-// clocks are borrowed, not owned — the caller (typically the triage tier)
+// clocks are borrowed, not owned — the caller (typically internal/ladder)
 // keeps them on the vc slab pool and releases them after the window; the
 // Index itself holds only the section table. An Index is not safe for
 // concurrent use: Check reuses internal scratch space, matching the
@@ -297,72 +294,10 @@ func (x *Index) Check(a, b int) bool {
 	return true
 }
 
-// Options configures the standalone detector.
-type Options struct {
-	// WindowSize splits the trace into fixed-size windows; ≤ 0 analyses the
-	// whole trace at once. The paper's default is 10000.
-	WindowSize int
-}
-
-// Detector is the standalone cumulative sync-preserving detector: it
-// reports every COP the SHB tier or the witness check confirms, one per
-// signature. By construction its race set contains the standalone WCP
-// detector's (internal/wcp) and is contained in the maximal detector's —
-// the inclusion chain the oracle tests enforce.
-type Detector struct {
-	opt Options
-}
-
-// New returns a standalone SyncP detector.
-func New(opt Options) *Detector { return &Detector{opt: opt} }
-
-// Name implements race.Detector.
-func (*Detector) Name() string { return "SyncP" }
-
-// Detect reports all COPs confirmed by the SHB-or-witness chain.
-func (d *Detector) Detect(tr *trace.Trace) race.Result {
-	start := time.Now()
-	var res race.Result
-	seen := make(map[race.Signature]bool)
-	res.Windows = race.Windows(tr, d.opt.WindowSize, func(w *trace.Trace, offset int) {
-		mhb := vc.ComputeMHB(w)
-		sets := lockset.ComputeWith(w, mhb)
-		shb := hb.SHBClocks(w)
-		sr := hb.SRClocks(w)
-		idx := NewIndex(w, sr)
-		for _, cop := range race.EnumerateCOPs(w) {
-			sig := race.SigOf(w, cop.A, cop.B)
-			if seen[sig] {
-				continue
-			}
-			res.COPsChecked++
-			if !sets.Pass(cop.A, cop.B) {
-				continue
-			}
-			if ConfirmSHB(shb, cop.A, cop.B) || idx.Check(cop.A, cop.B) {
-				seen[sig] = true
-				res.Races = append(res.Races, race.Race{
-					COP: race.COP{A: cop.A + offset, B: cop.B + offset},
-					Sig: sig,
-					Prov: race.Provenance{
-						Tier: race.TierSyncP, Window: res.Windows,
-					},
-				})
-			}
-		}
-		sr.Release()
-		shb.Release()
-		mhb.Release()
-	})
-	res.Elapsed = time.Since(start)
-	return res
-}
-
-// ConfirmSHB is the first rung of the confirmation ladder, shared by the
-// standalone detectors and mirrored by the core triage tier: the pair is
-// SHB-concurrent, or is a write–read pair ordered only by its own
-// reads-from edge (the pre-join check, hb.RFRaceable). Callers guarantee
-// disjoint locksets.
+// ConfirmSHB is the first rung of the confirmation ladder
+// (internal/ladder): the pair is SHB-concurrent, or is a write–read pair
+// ordered only by its own reads-from edge (the pre-join check,
+// hb.RFRaceable). Callers guarantee disjoint locksets.
 func ConfirmSHB(shb *hb.EventClocks, a, b int) bool {
 	if !shb.Epoch(a).LessEqClock(shb.Clock(b)) && !shb.Epoch(b).LessEqClock(shb.Clock(a)) {
 		return true

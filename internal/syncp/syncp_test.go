@@ -256,41 +256,3 @@ func TestCheckScratchReuse(t *testing.T) {
 		}
 	}
 }
-
-// TestDetectorWindowTruncation: the standalone detector over a window
-// size that cuts critical sections in half must neither crash nor
-// confirm the region-conflict pair, and still reports the plain race in
-// the second window.
-func TestDetectorWindowTruncation(t *testing.T) {
-	const l, x, y, u = trace.Addr(200), trace.Addr(5), trace.Addr(6), trace.Addr(7)
-	b := trace.NewBuilder()
-	b.Acquire(1, l)        // 0
-	b.At(1).Write(1, x, 1) // 1
-	b.At(2).Write(1, y, 1) // 2
-	b.Release(1, l)        // 3
-	b.Acquire(2, l)        // 4
-	b.At(3).ReadV(2, y, 1) // 5
-	b.Release(2, l)        // 6
-	b.At(4).Read(2, x)     // 7
-	b.At(5).Write(1, u, 1) // 8
-	b.At(6).Read(2, u)     // 9
-	tr := b.Trace()
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	for _, window := range []int{3, 4, 5, 0} {
-		res := New(Options{WindowSize: window}).Detect(tr)
-		foundU := false
-		for _, r := range res.Races {
-			if r.A == 8 && r.B == 9 {
-				foundU = true
-			}
-			if r.A == 1 && r.B == 7 {
-				t.Errorf("window=%d: rv-region pair (1,7) confirmed", window)
-			}
-		}
-		if window == 0 && !foundU {
-			t.Errorf("window=%d: plain pair (8,9) not reported", window)
-		}
-	}
-}

@@ -679,8 +679,9 @@ func (c *Collector) CountTriageDispatched() {
 	c.triDispatched.Add(1)
 }
 
-// AddTriageFastPath accumulates wall-clock time spent in the triage tier's
-// clock computations and per-pair checks.
+// AddTriageFastPath accumulates the wall-clock time of classifying one
+// window's quick-check survivors on the triage ladder: the rung checks
+// plus the clock and witness builds they trigger.
 func (c *Collector) AddTriageFastPath(d time.Duration) {
 	if c == nil {
 		return
@@ -1120,8 +1121,9 @@ type PairSchedCounters struct {
 // Dispatched COPs went to the SMT scheduler unchanged. The counts are
 // deterministic (classification happens in canonical order before
 // dispatch, attributed to the cheapest rung that proves the pair);
-// FastPathNS is the ladder's wall-clock cost and is excluded from
-// NonTiming.
+// FastPathNS is the wall-clock time of that classification — the rung
+// checks plus the clock and witness builds they trigger — and is
+// excluded from NonTiming.
 type TriageCounters struct {
 	Confirmed      int64 `json:"confirmed"`
 	WCPConfirmed   int64 `json:"wcp_confirmed"`

@@ -5,14 +5,9 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/hb"
-	"repro/internal/lockset"
+	"repro/internal/ladder"
 	"repro/internal/race"
-	"repro/internal/syncp"
-	"repro/internal/vc"
-	"repro/internal/wcp"
 	"repro/internal/workloads"
-	"repro/trace"
 )
 
 // sigSet collects the distinct race signatures of a result.
@@ -21,26 +16,6 @@ func sigSet(res race.Result) map[race.Signature]bool {
 	for _, r := range res.Races {
 		out[r.Sig] = true
 	}
-	return out
-}
-
-// shbRaces computes the SHB-tier race set standalone: per window, the
-// lockset quick check plus syncp.ConfirmSHB — the first rung of the
-// ladder, with no witness construction.
-func shbRaces(tr *trace.Trace, window int) map[race.Signature]bool {
-	out := make(map[race.Signature]bool)
-	race.Windows(tr, window, func(w *trace.Trace, _ int) {
-		mhb := vc.ComputeMHB(w)
-		sets := lockset.ComputeWith(w, mhb)
-		shb := hb.SHBClocks(w)
-		for _, cop := range race.EnumerateCOPs(w) {
-			if sets.Pass(cop.A, cop.B) && syncp.ConfirmSHB(shb, cop.A, cop.B) {
-				out[race.SigOf(w, cop.A, cop.B)] = true
-			}
-		}
-		shb.Release()
-		mhb.Release()
-	})
 	return out
 }
 
@@ -88,9 +63,9 @@ func TestInclusionChainOracle(t *testing.T) {
 			}
 			for _, window := range []int{10000, 64} {
 				label := fmt.Sprintf("%s/seed%d/window%d", mix.name, seed, window)
-				shbSet := shbRaces(tr, window)
-				wcpSet := sigSet(wcp.New(wcp.Options{WindowSize: window}).Detect(tr))
-				spSet := sigSet(syncp.New(syncp.Options{WindowSize: window}).Detect(tr))
+				shbSet := sigSet(ladder.Detect(tr, window, ladder.SHB))
+				wcpSet := sigSet(ladder.Detect(tr, window, ladder.WCP))
+				spSet := sigSet(ladder.Detect(tr, window, ladder.SyncP))
 				maxSet := sigSet(core.New(core.Options{WindowSize: window}).Detect(tr))
 				subset(t, label+": SHB ⊆ WCP", shbSet, wcpSet)
 				subset(t, label+": WCP ⊆ SyncP", wcpSet, spSet)

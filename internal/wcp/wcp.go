@@ -31,13 +31,8 @@ package wcp
 
 import (
 	"sort"
-	"time"
 
 	"repro/internal/hb"
-	"repro/internal/lockset"
-	"repro/internal/race"
-	"repro/internal/syncp"
-	"repro/internal/vc"
 	"repro/trace"
 )
 
@@ -201,67 +196,4 @@ func (r *Relation) Release() {}
 func (r *Relation) ReleaseOwned() {
 	r.sr.Release()
 	r.sr = nil
-}
-
-// Options configures the standalone detector.
-type Options struct {
-	// WindowSize splits the trace into fixed-size windows; ≤ 0 analyses the
-	// whole trace at once. The paper's default is 10000.
-	WindowSize int
-}
-
-// Detector is the standalone cumulative WCP detector: it reports every
-// COP the SHB tier confirms, plus every WCP-concurrent pair the
-// sync-preserving witness check independently proves. Its race set
-// contains the SHB tier's and is contained in the standalone SyncP
-// detector's (the witness condition is shared, the gate only filters).
-type Detector struct {
-	opt Options
-}
-
-// New returns a standalone WCP detector.
-func New(opt Options) *Detector { return &Detector{opt: opt} }
-
-// Name implements race.Detector.
-func (*Detector) Name() string { return "WCP" }
-
-// Detect reports all COPs confirmed by the SHB-or-(gate∧witness) chain.
-func (d *Detector) Detect(tr *trace.Trace) race.Result {
-	start := time.Now()
-	var res race.Result
-	seen := make(map[race.Signature]bool)
-	res.Windows = race.Windows(tr, d.opt.WindowSize, func(w *trace.Trace, offset int) {
-		mhb := vc.ComputeMHB(w)
-		sets := lockset.ComputeWith(w, mhb)
-		shb := hb.SHBClocks(w)
-		sr := hb.SRClocks(w)
-		idx := syncp.NewIndex(w, sr)
-		rel := ComputeWith(w, sr)
-		for _, cop := range race.EnumerateCOPs(w) {
-			sig := race.SigOf(w, cop.A, cop.B)
-			if seen[sig] {
-				continue
-			}
-			res.COPsChecked++
-			if !sets.Pass(cop.A, cop.B) {
-				continue
-			}
-			if syncp.ConfirmSHB(shb, cop.A, cop.B) ||
-				(!rel.Ordered(cop.A, cop.B) && idx.Check(cop.A, cop.B)) {
-				seen[sig] = true
-				res.Races = append(res.Races, race.Race{
-					COP: race.COP{A: cop.A + offset, B: cop.B + offset},
-					Sig: sig,
-					Prov: race.Provenance{
-						Tier: race.TierWCP, Window: res.Windows,
-					},
-				})
-			}
-		}
-		sr.Release()
-		shb.Release()
-		mhb.Release()
-	})
-	res.Elapsed = time.Since(start)
-	return res
 }

@@ -25,7 +25,6 @@ func TestValidateRejectsEachBadCombination(t *testing.T) {
 		{"negative global budget", rvpredict.Options{GlobalBudget: -1}, "GlobalBudget"},
 		{"negative conflict budget", rvpredict.Options{MaxConflicts: -1}, "MaxConflicts"},
 		{"unknown triage level", rvpredict.Options{TriageLevel: "hb"}, "TriageLevel"},
-		{"triage level with triage disabled", rvpredict.Options{NoTriage: true, TriageLevel: "syncp"}, "TriageLevel"},
 		{"resume without a journal", rvpredict.Options{Resume: true}, "Resume"},
 		{"journal on a non-RV algorithm", rvpredict.Options{Journal: "j", Algorithm: rvpredict.HappensBefore}, "Journal"},
 		{"negative group-commit interval", rvpredict.Options{Journal: "j", JournalGroupCommit: -1}, "JournalGroupCommit"},

@@ -105,11 +105,11 @@ func TestInterruptedKeyAlwaysPresent(t *testing.T) {
 func TestWindowFailuresSurfaceInReport(t *testing.T) {
 	inj := faultinject.New().
 		Script(faultinject.Scoped(faultinject.PointSolve, 1), 0, faultinject.FaultPanic)
-	// NoTriage: the fault script targets the scripted window's first solver
+	// Triage off: the fault script targets the scripted window's first solver
 	// query, which the triage fast path would otherwise skip entirely.
 	rep := rvpredict.Detect(racyWindows(), rvpredict.Options{
 		WindowSize:    50,
-		NoTriage:      true,
+		TriageLevel:   "off",
 		FaultInjector: inj,
 		Telemetry:     true,
 	})
@@ -143,11 +143,11 @@ func TestWindowFailuresSurfaceInReport(t *testing.T) {
 // adaptive scheduler: PairsRetried and the telemetry tallies.
 func TestTwoPassRetrySurfacesInReport(t *testing.T) {
 	inj := faultinject.New().Script(faultinject.PointSolve, 0, faultinject.FaultTimeout)
-	// NoTriage: the injected timeout targets the first solver query, which
+	// Triage off: the injected timeout targets the first solver query, which
 	// the triage fast path would otherwise skip entirely.
 	rep := rvpredict.Detect(racyWindows(), rvpredict.Options{
 		WindowSize:       50,
-		NoTriage:         true,
+		TriageLevel:      "off",
 		FirstPassTimeout: 50 * time.Millisecond,
 		FaultInjector:    inj,
 		Telemetry:        true,

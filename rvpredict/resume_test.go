@@ -79,7 +79,6 @@ func TestResumeMatrixBitIdentical(t *testing.T) {
 	type combo struct {
 		name         string
 		par, pairPar int
-		noTriage     bool
 		level        string
 		fullCompare  bool // parallel merges share verdicts, so PairsChecked may differ
 	}
@@ -87,17 +86,16 @@ func TestResumeMatrixBitIdentical(t *testing.T) {
 	for _, par := range []int{0, 2} {
 		for _, pairPar := range []int{0, 2} {
 			for _, tri := range []struct {
-				name     string
-				noTriage bool
-				level    string
+				name  string
+				level string
 			}{
-				{name: "triage"}, {name: "notriage", noTriage: true},
+				{name: "triage"}, {name: "notriage", level: "off"},
 				{name: "shb", level: "shb"}, {name: "wcp", level: "wcp"},
 				{name: "syncp", level: "syncp"}, {name: "cp", level: "cp"},
 			} {
 				combos = append(combos, combo{
 					name: tri.name, par: par, pairPar: pairPar,
-					noTriage: tri.noTriage, level: tri.level,
+					level:       tri.level,
 					fullCompare: par <= 1,
 				})
 			}
@@ -108,7 +106,7 @@ func TestResumeMatrixBitIdentical(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			base := runOpts()
 			base.Parallelism, base.PairParallelism = c.par, c.pairPar
-			base.NoTriage, base.TriageLevel = c.noTriage, c.level
+			base.TriageLevel = c.level
 			clean, err := rvpredict.Run(nil, tr, base)
 			if err != nil {
 				t.Fatalf("clean run failed: %v", err)
@@ -145,10 +143,10 @@ func TestResumeMatrixBitIdentical(t *testing.T) {
 			// Replayed windows never re-enter the solver. Triage can
 			// legitimately drive live queries to zero, so the strict
 			// comparison runs where the solver is guaranteed busy.
-			if c.noTriage {
+			if c.level == "off" {
 				cs, rs := clean.Telemetry.Outcomes.Solved, resumed.Telemetry.Outcomes.Solved
 				if cs == 0 {
-					t.Fatal("clean NoTriage run issued no solver queries (fixture drifted)")
+					t.Fatal("clean triage-off run issued no solver queries (fixture drifted)")
 				}
 				if rs >= cs {
 					t.Errorf("par %d × pairPar %d: resume solved %d queries, want strictly fewer than the clean run's %d",
@@ -253,7 +251,7 @@ func TestResumeFingerprintMismatch(t *testing.T) {
 		ok := opt
 		ok.Resume = true
 		ok.Parallelism, ok.PairParallelism = 2, 2
-		ok.NoTriage = true
+		ok.TriageLevel = "off"
 		ok.JournalGroupCommit = 1 // sync every append
 		if _, err := rvpredict.Run(nil, resumeFixture(), ok); err != nil {
 			t.Fatalf("resume under different observational options failed: %v", err)

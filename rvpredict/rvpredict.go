@@ -43,6 +43,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/hb"
 	"repro/internal/journal"
+	"repro/internal/ladder"
 	"repro/internal/lockset"
 	"repro/internal/race"
 	"repro/internal/said"
@@ -179,18 +180,14 @@ type Options struct {
 	// run (see core.Options.PairParallelism). The two knobs compose under
 	// one worker budget of max(Parallelism, PairParallelism).
 	PairParallelism int
-	// NoTriage disables the sound triage ladder of the MaximalCF
-	// detector, which confirms candidate pairs as races without a solver
-	// query. The report is bit-identical with triage on or off (absent
-	// real wall-clock solver timeouts); the knob exists for measurement
-	// and as an escape hatch. See doc/performance.md.
-	NoTriage bool
-	// TriageLevel caps the triage ladder at a named rung (MaximalCF
-	// only): "shb" (vector clocks only), "wcp" (adds the
-	// weak-causally-precedes gate over the sync-preserving witness
-	// check), "syncp" (adds the witness check alone — the default, also
-	// spelled ""), or "cp" (adds the opt-in causally-precedes tier for
-	// lock-heavy traces). Every level produces a bit-identical report;
+	// TriageLevel caps the sound triage ladder of the MaximalCF detector,
+	// which confirms candidate pairs as races without a solver query, at
+	// a named rung: "off" (no triage), "shb" (vector clocks only), "wcp"
+	// (adds the weak-causally-precedes gate over the sync-preserving
+	// witness check), "syncp" (adds the witness check alone — the
+	// default, also spelled ""), or "cp" (adds the opt-in
+	// causally-precedes rung for lock-heavy traces). Every level produces
+	// a bit-identical report (absent real wall-clock solver timeouts);
 	// the knob trades per-window analysis time against solver queries.
 	// Unknown values fail Validate. See core.Options.TriageLevel and
 	// doc/performance.md.
@@ -334,13 +331,8 @@ func (o Options) Validate() error {
 	if o.MaxConflicts < 0 {
 		return &OptionsError{Field: "MaxConflicts", Reason: "negative; use 0 for an unbounded search"}
 	}
-	switch o.TriageLevel {
-	case "", "shb", "wcp", "syncp", "cp":
-	default:
-		return &OptionsError{Field: "TriageLevel", Reason: fmt.Sprintf("%q; want shb, wcp, syncp or cp (empty for the default)", o.TriageLevel)}
-	}
-	if o.NoTriage && o.TriageLevel != "" {
-		return &OptionsError{Field: "TriageLevel", Reason: "selects a triage ladder rung while NoTriage disables triage entirely"}
+	if _, err := ladder.ParseLevel(o.TriageLevel); err != nil {
+		return &OptionsError{Field: "TriageLevel", Reason: err.Error()}
 	}
 	if o.Resume && o.Journal == "" {
 		return &OptionsError{Field: "Resume", Reason: "requires Journal: there is nothing to resume from"}
@@ -621,7 +613,7 @@ func run(ctx context.Context, src TraceReader, opt Options) (Report, error) {
 	}
 	var races []Race
 	for _, r := range res.Races {
-		pr, err := RenderRace(src, r, opt)
+		pr, err := RenderRace(src, r)
 		if err != nil {
 			return Report{}, err
 		}
@@ -702,8 +694,9 @@ func attachJournalWriter(opt *Options, fp journal.Fingerprint, col *telemetry.Co
 }
 
 // detect runs the selected algorithm over src. MaximalCF streams the
-// source's windows through core's one window loop; the baselines hold
-// whole-trace vector-clock state, so they materialise the trace.
+// source's windows through core's one window loop; the baselines analyse
+// per window too, but over the materialised trace (their own window
+// loops take a *trace.Trace).
 //
 // The skip rule: windows carry signature state across the run — a
 // signature already reported is not solved again — unless the run reads
@@ -781,7 +774,7 @@ func windowsOwned(events int, opt Options) int {
 // src — a run's trace source, or the streaming daemon's window while its
 // events are still in memory. Exported for internal/stream, like
 // CoreOptions.
-func RenderRace(src EventSource, r race.Race, opt Options) (Race, error) {
+func RenderRace(src EventSource, r race.Race) (Race, error) {
 	a, err := src.Event(r.A)
 	if err != nil {
 		return Race{}, fmt.Errorf("rvpredict: rendering race event %d: %w", r.A, err)
@@ -797,7 +790,7 @@ func RenderRace(src EventSource, r race.Race, opt Options) (Race, error) {
 		Locations:   [2]string{locA, locB},
 		Description: race.DescribePair(locA, locB, a, b),
 		Witness:     r.Witness,
-		Provenance:  publicProvenance(r, opt),
+		Provenance:  r.Prov,
 	}, nil
 }
 
@@ -841,7 +834,6 @@ func (o Options) CoreOptions(col *telemetry.Collector) core.Options {
 		Witness:          o.Witness,
 		Parallelism:      o.Parallelism,
 		PairParallelism:  o.PairParallelism,
-		NoTriage:         o.NoTriage,
 		TriageLevel:      o.TriageLevel,
 		Telemetry:        col,
 		Tracer:           o.Tracer,
@@ -849,32 +841,6 @@ func (o Options) CoreOptions(col *telemetry.Collector) core.Options {
 		OnWindowDone:     o.onWindowDone,
 		ResumeWindows:    o.resumeWindows,
 	}
-}
-
-// publicProvenance returns the race's provenance, stamping the baseline
-// detectors' fixed tier when the detector left it blank: only the
-// MaximalCF core attributes per-race tiers itself. The window index is
-// derived from the normalised window size (0 = whole trace = window 0).
-func publicProvenance(r race.Race, opt Options) race.Provenance {
-	p := r.Prov
-	if p.Tier != "" {
-		return p
-	}
-	switch opt.Algorithm {
-	case CausallyPrecedes:
-		p.Tier = race.TierCP
-	case HappensBefore:
-		p.Tier = race.TierHB
-	case QuickCheck:
-		p.Tier = race.TierQuickCheck
-	default: // SaidEtAl and any future SMT baseline
-		p.Tier = race.TierSMT
-	}
-	if opt.WindowSize > 0 {
-		p.Window = r.A / opt.WindowSize
-	}
-	p.WitnessLen = len(r.Witness)
-	return p
 }
 
 // newCollector returns a live collector when any observation surface

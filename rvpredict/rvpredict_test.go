@@ -1,11 +1,14 @@
 package rvpredict_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/fixtures"
+	"repro/internal/race"
+	"repro/internal/workloads"
 	"repro/minilang"
 	"repro/rvpredict"
 	"repro/trace"
@@ -162,5 +165,52 @@ func TestDetectAtomicityFacade(t *testing.T) {
 	}
 	if !strings.Contains(rep.Violations[0].Description, "audit.go:3") {
 		t.Errorf("description = %q", rep.Violations[0].Description)
+	}
+}
+
+// TestBaselineProvenance pins the provenance each baseline algorithm
+// reports on a windowed trace: the algorithm's fixed tier, the index of
+// the window holding the race (First/WindowSize), and the witness
+// length.
+func TestBaselineProvenance(t *testing.T) {
+	const window = 64
+	var tr *trace.Trace
+	for _, spec := range workloads.Rows() {
+		if spec.Name == "bakery" {
+			tr, _ = workloads.Build(spec)
+		}
+	}
+	tiers := map[rvpredict.Algorithm]string{
+		rvpredict.SaidEtAl:         race.TierSMT,
+		rvpredict.CausallyPrecedes: race.TierCP,
+		rvpredict.HappensBefore:    race.TierHB,
+		rvpredict.QuickCheck:       race.TierQuickCheck,
+	}
+	for algo, tier := range tiers {
+		rep, err := rvpredict.Run(context.Background(), tr, rvpredict.Options{Algorithm: algo, WindowSize: window, Witness: true})
+		if err != nil {
+			t.Fatalf("%v: %v", algo, err)
+		}
+		later, witnesses := 0, 0
+		for _, r := range rep.Races {
+			p := r.Provenance
+			if p.Tier != tier || p.Window != r.First/window || p.WitnessLen != len(r.Witness) {
+				t.Errorf("%v: race (%d,%d) provenance %+v, want tier %q, window %d, witness_len %d",
+					algo, r.First, r.Second, p, tier, r.First/window, len(r.Witness))
+			}
+			if p.Window > 0 {
+				later++
+			}
+			if p.WitnessLen > 0 {
+				witnesses++
+			}
+		}
+		t.Logf("%v: %d races, %d past the first window, %d with witnesses", algo, len(rep.Races), later, witnesses)
+		if later == 0 {
+			t.Errorf("%v: no race past the first window; the check proves little", algo)
+		}
+		if algo == rvpredict.SaidEtAl && witnesses == 0 {
+			t.Errorf("%v: no race carries a witness", algo)
+		}
 	}
 }
