@@ -78,9 +78,10 @@ const (
 
 // Relation answers CP-ordering queries for one (windowed) trace.
 type Relation struct {
-	hb   *hb.EventClocks // full happens-before, for rule (iii) composition
-	hard *hb.EventClocks // non-relaxable order: HB minus lock edges
-	core []corePair
+	hb     *hb.EventClocks // full happens-before, for rule (iii) composition
+	hard   *hb.EventClocks // non-relaxable order: HB minus lock edges
+	core   []corePair
+	ownsHB bool // hb was built by Compute, so Release returns it too
 }
 
 // section is a critical section restricted to its own thread's events.
@@ -95,7 +96,9 @@ type section struct {
 // Compute builds the CP relation of tr: critical-section contents, the
 // rule (i) seed pairs, and the rule (ii) fixpoint.
 func Compute(tr *trace.Trace) *Relation {
-	return ComputeWith(tr, hb.Clocks(tr))
+	r := ComputeWith(tr, hb.Clocks(tr))
+	r.ownsHB = true
+	return r
 }
 
 // ComputeWith is Compute with a caller-supplied composition order for rule
@@ -230,9 +233,15 @@ func (r *Relation) cpBetween(i, j int) bool {
 }
 
 // Release returns the relation's internal clock storage to the shared
-// slab pool. The caller-supplied composition clocks are not touched (the
+// slab pool: the hard clocks, and the composition clocks when Compute
+// built them. Clocks supplied through ComputeWith are not touched (the
 // caller owns them); after Release the relation must not be queried.
-func (r *Relation) Release() { r.hard.Release() }
+func (r *Relation) Release() {
+	r.hard.Release()
+	if r.ownsHB {
+		r.hb.Release()
+	}
+}
 
 // CP reports whether event i causally-precedes event j.
 func (r *Relation) CP(i, j int) bool { return r.cpBetween(i, j) }

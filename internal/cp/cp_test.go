@@ -206,3 +206,33 @@ func TestSameThreadSectionsIgnored(t *testing.T) {
 		t.Errorf("same-thread sections must not create core pairs, got %v", rel.core)
 	}
 }
+
+// TestReleaseOwnsOnlyBuiltClocks: Release returns the composition clocks
+// Compute built to the slab pool (querying them afterwards fails: their
+// storage is gone), while clocks a caller passed to ComputeWith stay the
+// caller's and keep answering as before.
+func TestReleaseOwnsOnlyBuiltClocks(t *testing.T) {
+	tr := fixtures.Figure1()
+	a, b := 0, tr.Len()-1
+	released := func(ec *hb.EventClocks) (gone bool) {
+		defer func() { gone = recover() != nil }()
+		ec.Before(a, b)
+		return false
+	}
+
+	owned := Compute(tr)
+	comp := owned.hb
+	owned.Release()
+	if !released(comp) {
+		t.Error("Compute's composition clocks survived Release")
+	}
+
+	mine := hb.Clocks(tr)
+	want := mine.Before(a, b)
+	borrowed := ComputeWith(tr, mine)
+	borrowed.Release()
+	if released(mine) || mine.Before(a, b) != want {
+		t.Error("Release freed caller-owned composition clocks")
+	}
+	mine.Release()
+}

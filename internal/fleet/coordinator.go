@@ -12,10 +12,10 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/journal"
+	"repro/internal/race"
 	"repro/internal/retry"
 	"repro/internal/telemetry"
 	"repro/rvpredict"
-	"repro/trace"
 )
 
 // ErrInjectedCrash is returned by Coordinator.Run when an in-process
@@ -102,6 +102,11 @@ type Coordinator struct {
 	lastActivity time.Time
 	draining     bool
 	crashed      error
+	// changed is closed, and replaced, on every lease-table change that
+	// can turn a held lease request into a reply or end the run: a lease
+	// released, expired or repooled, a window journaled, a shard done, a
+	// worker gone, the run draining.
+	changed chan struct{}
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -145,27 +150,23 @@ func NewCoordinator(opt CoordinatorOptions) (*Coordinator, error) {
 	}
 	rd := opt.Detect.TraceReader
 	c := &Coordinator{
-		opt:    opt,
-		col:    col,
-		inj:    opt.FaultInjector,
-		fp:     journalFingerprint(rd.ContentHash(), opt.Detect.ResultFingerprint()),
-		done:   make(map[int]bool),
-		leases: make(map[uint64]*lease),
+		opt:     opt,
+		col:     col,
+		inj:     opt.FaultInjector,
+		fp:      journalFingerprint(rd.ContentHash(), opt.Detect.ResultFingerprint()),
+		done:    make(map[int]bool),
+		leases:  make(map[uint64]*lease),
+		changed: make(chan struct{}),
 	}
 
 	// Index the windows once: the lease table needs to know which
 	// windows each shard owns and when a shard (and the run) is
-	// complete.
-	ws := opt.Detect.Normalised().WindowSize
+	// complete. The window count follows from the event count alone.
+	c.numWindows = race.NumWindows(rd.NumEvents(), opt.Detect.Normalised().WindowSize)
 	c.shardWindows = make([][]int, opt.Shards)
-	err := rd.Windows(ws, func(_ *trace.Trace, widx, _ int) error {
+	for widx := 0; widx < c.numWindows; widx++ {
 		s := widx % opt.Shards
 		c.shardWindows[s] = append(c.shardWindows[s], widx)
-		c.numWindows++
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	c.shardLive = make([]int, opt.Shards)
 	c.shardDone = make([]bool, opt.Shards)
@@ -214,6 +215,13 @@ func (c *Coordinator) logf(format string, args ...any) {
 // Collector returns the coordinator's telemetry collector.
 func (c *Coordinator) Collector() *telemetry.Collector { return c.col }
 
+// signalLocked wakes everything waiting on a lease-table change: held
+// lease requests and the Run monitor.
+func (c *Coordinator) signalLocked() {
+	close(c.changed)
+	c.changed = make(chan struct{})
+}
+
 // shardCompleteLocked reports whether every window of shard s is
 // durable.
 func (c *Coordinator) shardCompleteLocked(s int) bool {
@@ -258,13 +266,19 @@ func (c *Coordinator) Run(ctx context.Context, ln net.Listener) (rvpredict.Repor
 	}()
 
 	// The monitor drives lease expiry and decides when the run is over.
+	// It re-checks on every lease-table change, and on its tick for the
+	// time-based conditions (expiry, idle grace, linger).
 	drainStart := time.Time{}
 	tick := time.NewTicker(10 * time.Millisecond)
 	defer tick.Stop()
+	c.mu.Lock()
+	changed := c.changed
+	c.mu.Unlock()
 	for {
 		select {
 		case <-c.ctx.Done():
 		case <-tick.C:
+		case <-changed:
 		}
 		c.mu.Lock()
 		c.sweepLocked(time.Now())
@@ -273,9 +287,11 @@ func (c *Coordinator) Run(ctx context.Context, ln net.Listener) (rvpredict.Repor
 		idle := c.workers == 0 && len(c.leases) == 0 &&
 			time.Since(c.lastActivity) > c.opt.IdleGrace
 		workers := c.workers
-		if allDone {
+		if allDone && !c.draining {
 			c.draining = true
+			c.signalLocked()
 		}
+		changed = c.changed
 		c.mu.Unlock()
 
 		switch {
@@ -302,6 +318,7 @@ func (c *Coordinator) Run(ctx context.Context, ln net.Listener) (rvpredict.Repor
 		case idle:
 			c.mu.Lock()
 			c.draining = true
+			c.signalLocked()
 			missing := c.numWindows - c.doneCount
 			c.mu.Unlock()
 			c.logf("fleet: no workers and %d windows uncovered; degrading to local analysis", missing)
@@ -351,30 +368,47 @@ func (c *Coordinator) releaseLeaseLocked(id uint64, backoff bool) {
 		c.attempts[l.shard]++
 		c.notBefore[l.shard] = time.Now().Add(c.opt.Backoff.Delay(c.attempts[l.shard]))
 	}
+	c.signalLocked()
 }
 
 // grantLocked picks work for an idle worker: a pending shard first
 // (past its backoff gate), then a speculative duplicate of the oldest
-// straggling lease, else nothing.
-func (c *Coordinator) grantLocked(conn net.Conn, now time.Time) []byte {
+// straggling lease. With nothing to grant it returns a nil reply and
+// the next instant a grant could appear without a lease-table change —
+// the earliest backoff gate or speculation age still ahead (zero if
+// none); the caller holds the request until then or until a change.
+func (c *Coordinator) grantLocked(conn net.Conn, now time.Time) (reply []byte, recheck time.Time) {
 	c.sweepLocked(now)
 	if c.draining || c.doneCount == c.numWindows {
-		return []byte{msgShutdown}
+		return []byte{msgShutdown}, time.Time{}
+	}
+	earliest := func(t time.Time) {
+		if recheck.IsZero() || t.Before(recheck) {
+			recheck = t
+		}
 	}
 	pick, speculative := -1, false
 	for s := 0; s < c.opt.Shards; s++ {
-		if !c.shardDone[s] && c.shardLive[s] == 0 && !now.Before(c.notBefore[s]) {
-			pick = s
-			break
+		if c.shardDone[s] || c.shardLive[s] != 0 {
+			continue
 		}
+		if now.Before(c.notBefore[s]) {
+			earliest(c.notBefore[s])
+			continue
+		}
+		pick = s
+		break
 	}
 	if pick < 0 {
 		// Speculative hedge: duplicate the oldest lease that has been
 		// running past SpeculateAfter and is not already duplicated.
 		var oldest time.Time
 		for _, l := range c.leases {
-			age := now.Sub(l.granted)
-			if age < c.opt.SpeculateAfter || c.shardLive[l.shard] > 1 || l.conn == conn {
+			if c.shardLive[l.shard] > 1 || l.conn == conn {
+				continue
+			}
+			if now.Sub(l.granted) < c.opt.SpeculateAfter {
+				earliest(l.granted.Add(c.opt.SpeculateAfter))
 				continue
 			}
 			if pick < 0 || l.granted.Before(oldest) {
@@ -384,20 +418,7 @@ func (c *Coordinator) grantLocked(conn net.Conn, now time.Time) []byte {
 		speculative = pick >= 0
 	}
 	if pick < 0 {
-		// Idle workers poll at the faster of the lease and speculation
-		// cadences (bounded), so a hedge shows up promptly once a lease
-		// ages past SpeculateAfter.
-		wait := c.opt.LeaseTTL / 4
-		if s := c.opt.SpeculateAfter / 4; s < wait {
-			wait = s
-		}
-		if wait < 5*time.Millisecond {
-			wait = 5 * time.Millisecond
-		}
-		if wait > time.Second {
-			wait = time.Second
-		}
-		return uvarintPayload(msgNone, uint64(wait/time.Millisecond))
+		return nil, recheck
 	}
 	c.nextLeaseID++
 	l := &lease{
@@ -421,7 +442,48 @@ func (c *Coordinator) grantLocked(conn net.Conn, now time.Time) []byte {
 		shards:      c.opt.Shards,
 		ttlMS:       uint64(c.opt.LeaseTTL / time.Millisecond),
 		speculative: speculative,
-	})
+	}), time.Time{}
+}
+
+// maxHold caps how long a lease request is held without a reply, well
+// inside the worker's 10 s read deadline. Past it the worker gets
+// msgNone with a zero wait and asks again at once.
+const maxHold = 2 * time.Second
+
+// awaitGrant answers a lease request: a grant or shutdown as soon as
+// there is one. Until then the request is held and re-checked on every
+// lease-table change and at grantLocked's recheck instant, so a
+// repooled shard, a straggler ripe for speculation or the run draining
+// reaches an idle worker without a poll delay.
+func (c *Coordinator) awaitGrant(conn net.Conn) ([]byte, error) {
+	giveUp := time.Now().Add(maxHold)
+	for {
+		c.mu.Lock()
+		now := time.Now()
+		reply, recheck := c.grantLocked(conn, now)
+		changed := c.changed
+		c.mu.Unlock()
+		if reply != nil {
+			return reply, nil
+		}
+		if !now.Before(giveUp) {
+			return uvarintPayload(msgNone, 0), nil
+		}
+		wake := giveUp
+		if !recheck.IsZero() && recheck.Before(wake) {
+			wake = recheck
+		}
+		timer := time.NewTimer(wake.Sub(now))
+		select {
+		case <-changed:
+		case <-timer.C:
+		case <-c.ctx.Done():
+		}
+		timer.Stop()
+		if err := c.ctx.Err(); err != nil {
+			return nil, err
+		}
+	}
 }
 
 // handleResult gates, journals and acks one reported window outcome.
@@ -451,6 +513,7 @@ func (c *Coordinator) handleResult(conn net.Conn, body []byte) ([]byte, error) {
 		}
 		c.done[window] = true
 		c.doneCount++
+		c.signalLocked()
 		if l := c.leases[leaseID]; l != nil && l.speculative {
 			c.col.CountSpeculativeWin()
 		}
@@ -501,6 +564,7 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 	c.mu.Lock()
 	c.workers--
 	c.lastActivity = time.Now()
+	c.signalLocked()
 	for id, l := range c.leases {
 		if l.conn == conn {
 			c.releaseLeaseLocked(id, true)
@@ -545,9 +609,10 @@ func (c *Coordinator) serveWorker(conn net.Conn, br *bufio.Reader) error {
 		var reply []byte
 		switch kind {
 		case msgReq:
-			c.mu.Lock()
-			reply = c.grantLocked(conn, time.Now())
-			c.mu.Unlock()
+			reply, err = c.awaitGrant(conn)
+			if err != nil {
+				return err
+			}
 		case msgHeartbeat:
 			id, perr := parseUvarint(body)
 			if perr != nil {

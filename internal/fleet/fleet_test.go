@@ -504,3 +504,163 @@ func TestFleetFingerprintReject(t *testing.T) {
 		t.Error("fingerprint rejection not permanent")
 	}
 }
+
+// waitWorkers blocks until n workers are connected to c, then gives the
+// newest one's first lease request time to reach the coordinator and be
+// held.
+func waitWorkers(t *testing.T, c *Coordinator, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		c.mu.Lock()
+		have := c.workers
+		c.mu.Unlock()
+		if have >= n {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d workers connected, want %d", have, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(50 * time.Millisecond)
+}
+
+// TestFleetIdleWorkerWokenOnDrain: at the default LeaseTTL (where a
+// polling worker would sleep a full second), a worker idling while the
+// other analyses the last window learns of the drain as soon as that
+// window is durable — both workers and Run return promptly after the
+// release.
+func TestFleetIdleWorkerWokenOnDrain(t *testing.T) {
+	tr := fleetFixture()
+	path := writeFixtureFile(t, tr)
+	want := baseline(t, path)
+
+	copt := fleetOpts()
+	copt.TraceReader = openReader(t, path)
+	coord, err := NewCoordinator(CoordinatorOptions{
+		Detect:  copt,
+		Journal: filepath.Join(t.TempDir(), "coord.journal"),
+		Shards:  1,
+		Logf:    t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := coord.numWindows - 1
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	runCh := make(chan error, 1)
+	var rep rvpredict.Report
+	go func() {
+		var rerr error
+		rep, rerr = coord.Run(nil, ln)
+		runCh <- rerr
+	}()
+
+	held := make(chan struct{})
+	release := make(chan struct{})
+	busy := startWorker(t, addr, path, "busy", nil, func(widx int) {
+		if widx == last {
+			close(held)
+			<-release
+		}
+	})
+	<-held
+	idle := startWorker(t, addr, path, "idle", nil, nil)
+	waitWorkers(t, coord, 2)
+
+	released := time.Now()
+	close(release)
+	for name, done := range map[string]<-chan error{"busy": busy, "idle": idle, "Run": runCh} {
+		if err := <-done; err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	if took := time.Since(released); took > 300*time.Millisecond {
+		t.Errorf("fleet took %v after the last window was released, want ≤ 300ms", took)
+	}
+	if got := normalise(t, rep); got != want {
+		t.Errorf("fleet report differs from single-process run:\nfleet:  %s\nsingle: %s", got, want)
+	}
+}
+
+// TestFleetRepoolWakesIdleWorker: when a leased worker disconnects, its
+// shard is repooled and the idle worker is granted it once the backoff
+// gate passes, not at its next poll.
+func TestFleetRepoolWakesIdleWorker(t *testing.T) {
+	tr := fleetFixture()
+	path := writeFixtureFile(t, tr)
+	want := baseline(t, path)
+
+	copt := fleetOpts()
+	copt.TraceReader = openReader(t, path)
+	coord, err := NewCoordinator(CoordinatorOptions{
+		Detect:  copt,
+		Journal: filepath.Join(t.TempDir(), "coord.journal"),
+		Shards:  1,
+		Logf:    t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	runCh := make(chan error, 1)
+	var rep rvpredict.Report
+	go func() {
+		var rerr error
+		rep, rerr = coord.Run(nil, ln)
+		runCh <- rerr
+	}()
+
+	// The leaver holds before its first window until its context is
+	// cancelled, which closes its connection mid-lease.
+	held := make(chan struct{})
+	release := make(chan struct{})
+	var once sync.Once
+	lctx, lcancel := context.WithCancel(context.Background())
+	defer lcancel()
+	leaver := startWorkerCtx(t, lctx, addr, path, "leaver", nil, func(int) {
+		once.Do(func() { close(held) })
+		<-release
+	})
+	<-held
+	granted := make(chan time.Time, 1)
+	var gonce sync.Once
+	taker := startWorker(t, addr, path, "taker", nil, func(int) {
+		gonce.Do(func() { granted <- time.Now() })
+	})
+	waitWorkers(t, coord, 2)
+
+	left := time.Now()
+	lcancel()
+	select {
+	case at := <-granted:
+		if took := at.Sub(left); took > 300*time.Millisecond {
+			t.Errorf("repooled shard reached the idle worker after %v, want ≤ 300ms", took)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("repooled shard never reached the idle worker")
+	}
+	close(release)
+	<-leaver
+	if err := <-taker; err != nil {
+		t.Errorf("taker: %v", err)
+	}
+	if err := <-runCh; err != nil {
+		t.Fatal(err)
+	}
+	if got := normalise(t, rep); got != want {
+		t.Errorf("fleet report differs from single-process run:\nfleet:  %s\nsingle: %s", got, want)
+	}
+	if coord.Collector().LeasesReassigned() == 0 {
+		t.Error("no lease reassignment counted")
+	}
+}

@@ -301,11 +301,13 @@ func EnumerateCOPs(tr *trace.Trace) []COP {
 // A size ≤ 0 means a single window covering the whole trace.
 //
 // Each window is analysed as an execution in its own right whose initial
-// memory state is the state observed at the window boundary: the last
-// written value of every location in the preceding prefix is installed as
-// the window's initial value. Without this, any read whose writer fell in
-// an earlier window would be unsatisfiable under the read-consistency
-// encodings, silently suppressing races near window boundaries.
+// memory state is the state observed at the window boundary: for every
+// location the window's events name, its last written value in the
+// preceding prefix is installed as its initial value (trace.WindowInitials;
+// locations the window never touches need none). Without this, any read
+// whose writer fell in an earlier window would be unsatisfiable under the
+// read-consistency encodings, silently suppressing races near window
+// boundaries.
 func Windows(tr *trace.Trace, size int, f func(w *trace.Trace, offset int)) int {
 	ws := WindowSlices(tr, size)
 	for _, w := range ws {
@@ -357,9 +359,21 @@ type WindowSlice struct {
 	Offset int
 }
 
+// NumWindows is the number of windows Windows cuts a trace of events
+// events into at the given size: one when size ≤ 0 or the trace fits in
+// one window (an empty trace still has its one empty window), else one
+// per started block of size events.
+func NumWindows(events, size int) int {
+	if size <= 0 || events <= size {
+		return 1
+	}
+	return (events + size - 1) / size
+}
+
 // WindowSlices materialises the windows of tr (see Windows), each with the
-// carried-in initial memory state installed. The slices are independent,
-// so callers may analyse them concurrently.
+// carried-in initial memory state installed for the addresses its events
+// name (trace.WindowInitials). The slices are independent, so callers may
+// analyse them concurrently.
 func WindowSlices(tr *trace.Trace, size int) []WindowSlice {
 	if size <= 0 || tr.Len() <= size {
 		return []WindowSlice{{Trace: tr, Offset: 0}}
@@ -371,11 +385,7 @@ func WindowSlices(tr *trace.Trace, size int) []WindowSlice {
 		if hi > tr.Len() {
 			hi = tr.Len()
 		}
-		w := tr.Slice(lo, hi)
-		for a, v := range carried {
-			w.SetInitial(a, v)
-		}
-		out = append(out, WindowSlice{Trace: w, Offset: lo})
+		out = append(out, WindowSlice{Trace: tr.Window(lo, hi, carried), Offset: lo})
 		for i := lo; i < hi; i++ {
 			if e := tr.Event(i); e.Op == trace.OpWrite {
 				carried[e.Addr] = e.Value

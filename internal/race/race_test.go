@@ -222,3 +222,31 @@ func TestRenderWitness(t *testing.T) {
 		t.Error("empty witness renders empty")
 	}
 }
+
+// TestNumWindows: the window count by arithmetic agrees with the
+// windows WindowSlices actually cuts, including its edge cases.
+func TestNumWindows(t *testing.T) {
+	cases := []struct{ events, size, want int }{
+		{0, 0, 1},     // empty trace: one empty window
+		{0, 5, 1},     // empty trace, windowed
+		{7, 0, 1},     // size ≤ 0: one window
+		{7, -3, 1},    // negative size likewise
+		{5, 5, 1},     // events == size
+		{4, 5, 1},     // events < size
+		{10, 5, 2},    // exact multiple
+		{11, 5, 3},    // ragged last window
+		{100, 1, 100}, // size 1
+	}
+	for _, c := range cases {
+		if got := NumWindows(c.events, c.size); got != c.want {
+			t.Errorf("NumWindows(%d, %d) = %d, want %d", c.events, c.size, got, c.want)
+		}
+		b := trace.NewBuilder()
+		for i := 0; i < c.events; i++ {
+			b.Branch(1)
+		}
+		if got := len(WindowSlices(b.Trace(), c.size)); got != c.want {
+			t.Errorf("WindowSlices(%d events, %d) cut %d windows, want %d", c.events, c.size, got, c.want)
+		}
+	}
+}

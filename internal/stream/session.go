@@ -52,8 +52,8 @@ type session struct {
 	widx       int
 	total      int // events ingested so far
 
-	// Session-wide metadata, installed into each new window exactly as
-	// trace.Slice shares or copies it in batch mode.
+	// Session-wide metadata, installed into each window exactly as
+	// trace.Window shares or scopes it in batch mode.
 	vols    map[trace.Addr]bool
 	inits   map[trace.Addr]int64
 	carried map[trace.Addr]int64 // last written value per addr, across closed windows
@@ -241,15 +241,8 @@ func (s *session) applyRecord(ctx context.Context, rec record, live bool) error 
 			}
 		}
 	case recInitial:
+		// Installed into the current window when it closes.
 		s.inits[rec.addr] = rec.value
-		if s.cur != nil {
-			// Carried-in state outranks a declared initial, exactly as
-			// the batch windower overlays carried values after copying
-			// the declared map.
-			if _, carried := s.carried[rec.addr]; !carried {
-				s.cur.SetInitial(rec.addr, rec.value)
-			}
-		}
 	case recLocName:
 		s.names[rec.loc] = rec.name
 		if s.cur != nil {
@@ -288,9 +281,6 @@ func (s *session) applyRecord(ctx context.Context, rec record, live bool) error 
 			s.cur.Append(e)
 			s.stats.Add(e)
 			s.total++
-			if e.Op == trace.OpWrite {
-				s.carried[e.Addr] = e.Value
-			}
 		}
 	case recEnd:
 		s.ended = true
@@ -298,9 +288,9 @@ func (s *session) applyRecord(ctx context.Context, rec record, live bool) error 
 	return nil
 }
 
-// newWindow starts the next analysis window: declared metadata plus the
-// carried last-write memory state, installed in the same order batch
-// windowing does (declared initials first, carried overlay second).
+// newWindow starts the next analysis window with the declared volatile
+// and location-name metadata. Its initial values are installed when it
+// closes (dispatchWindow), once its events are known.
 func (s *session) newWindow() {
 	capHint := s.windowSize
 	if capHint <= 0 {
@@ -314,12 +304,6 @@ func (s *session) newWindow() {
 	}
 	for l, nm := range s.names {
 		w.NameLoc(l, nm)
-	}
-	for a, v := range s.inits {
-		w.SetInitial(a, v)
-	}
-	for a, v := range s.carried {
-		w.SetInitial(a, v)
 	}
 	s.cur = w
 	s.winStart = s.total
@@ -338,6 +322,17 @@ func (s *session) dispatchWindow(ctx context.Context, live bool) error {
 	w, widx, offset := s.cur, s.widx, s.winStart
 	s.cur = nil
 	s.widx++
+	// The window's initial values follow batch windowing's rule
+	// (trace.WindowInitials) over the memory state carried from the
+	// windows before it; then its own writes carry into the next.
+	for a, v := range trace.WindowInitials(w.Events(), s.inits, s.carried) {
+		w.SetInitial(a, v)
+	}
+	for _, e := range w.Events() {
+		if e.Op == trace.OpWrite {
+			s.carried[e.Addr] = e.Value
+		}
+	}
 
 	if live {
 		if err := s.ingest.sync(); err != nil {

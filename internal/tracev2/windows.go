@@ -53,8 +53,8 @@ func (r *Reader) windowLinks(lo, hi int) []trace.NotifyLink {
 
 // Windows invokes f for each analysis window in trace order,
 // replicating race.WindowSlices semantics exactly — same window
-// boundaries, same carried last-write installation into each window's
-// initial-value map, same notify-link filtering — while holding only
+// boundaries, same window-scoped initial values (carried last write,
+// else declared initial), same notify-link filtering — while holding only
 // O(window + chunk) events live. Each window is a fresh *trace.Trace
 // over its own event slice (the volatile and location-name maps are
 // shared across windows by reference, like Slice); f owns the window
@@ -96,21 +96,15 @@ func (r *Reader) Windows(size int, f func(w *trace.Trace, widx, offset int) erro
 }
 
 // buildWindow materialises events [lo, hi) as a window trace whose
-// initial-value map is the declared initials overlaid with the carried
-// last-writes (carried wins, matching Slice-copy-then-SetInitial
-// order).
+// initial-value map covers only the addresses the window's events name
+// (trace.WindowInitials: carried last write, else declared initial) —
+// the rule trace.Window applies, so the two windowers agree.
 func (r *Reader) buildWindow(cu *chunkCursor, lo, hi int, carried map[trace.Addr]int64) (*trace.Trace, error) {
 	events := make([]trace.Event, hi-lo)
 	if err := cu.fill(events, lo); err != nil {
 		return nil, err
 	}
-	initial := make(map[trace.Addr]int64, len(r.initials)+len(carried))
-	for a, v := range r.initials {
-		initial[a] = v
-	}
-	for a, v := range carried {
-		initial[a] = v
-	}
+	initial := trace.WindowInitials(events, r.initials, carried)
 	return trace.FromParts(events, r.windowLinks(lo, hi), r.volatiles, initial, r.names), nil
 }
 

@@ -759,10 +759,7 @@ func detectBaseline(ctx context.Context, src TraceReader, opt Options) (race.Res
 // layout this run owns — all of them, or under Shards every window whose
 // index ≡ ShardID (mod Shards).
 func windowsOwned(events int, opt Options) int {
-	n := 1
-	if opt.WindowSize > 0 && events > opt.WindowSize {
-		n = (events + opt.WindowSize - 1) / opt.WindowSize
-	}
+	n := race.NumWindows(events, opt.WindowSize)
 	if opt.Shards > 0 {
 		return (n - opt.ShardID + opt.Shards - 1) / opt.Shards
 	}

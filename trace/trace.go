@@ -59,10 +59,11 @@ func New(n int) *Trace {
 // from a chunked file and must not re-own the whole trace. The metadata
 // maps are adopted by reference with the same sharing contract as Slice:
 // volatile and locName may be shared across windows (they are global,
-// read-mostly), while initial must be owned by the window (the windowing
-// driver installs the carried memory state into it). Any map may be nil.
-// The caller must not mutate events while the trace is in use; links are
-// in window-local coordinates.
+// read-mostly), while initial must be owned by the window. A windowing
+// driver builds it with WindowInitials, so it holds only the addresses
+// the window's events name. Any map may be nil. The caller must not
+// mutate events while the trace is in use; links are in window-local
+// coordinates.
 func FromParts(events []Event, links []NotifyLink, volatile map[Addr]bool, initial map[Addr]int64, names map[Loc]string) *Trace {
 	return &Trace{
 		events:        events,
@@ -165,11 +166,16 @@ func (tr *Trace) ByThread() map[TID][]int {
 // Slice returns a new trace holding events[lo:hi] — the windowing
 // primitive of Section 4. Event indices in the slice are renumbered from
 // zero; notify links falling entirely inside the window are retained and
-// rebased. The volatile and location-name maps are shared with the parent,
-// but the slice gets its own copy of the initial-value map so callers (the
-// windowing driver) can install the memory state carried in from the
-// preceding windows without disturbing the parent.
-func (tr *Trace) Slice(lo, hi int) *Trace {
+// rebased. The volatile and location-name maps are shared with the parent.
+// The initial-value map is the slice's own and is window-scoped (see
+// WindowInitials): Initial answers the parent's value for every address
+// the slice's events name, and 0 for any other address.
+func (tr *Trace) Slice(lo, hi int) *Trace { return tr.Window(lo, hi, nil) }
+
+// Window is Slice with the memory state carried in from the preceding
+// windows: for every address the window's events name, the last value
+// carried for it wins over the parent's declared initial value.
+func (tr *Trace) Window(lo, hi int, carried map[Addr]int64) *Trace {
 	// Materialise the shared metadata maps so later mutations through
 	// either trace remain visible to both.
 	if tr.volatileAddrs == nil {
@@ -178,14 +184,11 @@ func (tr *Trace) Slice(lo, hi int) *Trace {
 	if tr.locNames == nil {
 		tr.locNames = make(map[Loc]string)
 	}
-	initial := make(map[Addr]int64, len(tr.initial))
-	for a, v := range tr.initial {
-		initial[a] = v
-	}
+	events := tr.events[lo:hi:hi]
 	w := &Trace{
-		events:        tr.events[lo:hi:hi],
+		events:        events,
 		volatileAddrs: tr.volatileAddrs,
-		initial:       initial,
+		initial:       WindowInitials(events, tr.initial, carried),
 		locNames:      tr.locNames,
 	}
 	for _, ln := range tr.links {
@@ -200,6 +203,40 @@ func (tr *Trace) Slice(lo, hi int) *Trace {
 		}
 	}
 	return w
+}
+
+// WindowInitials is the initial-value map of a window over events, the
+// one rule every windower shares (Trace.Window, the chunked reader and
+// the streaming session). It holds exactly the addresses the events name
+// as a location or a lock — the only addresses Initial is asked about —
+// each with its carried last write if carried has one, else its declared
+// initial value. Zero values are left out, since Initial reads a missing
+// address as 0. The cost is O(len(events)), however many addresses the
+// declared and carried maps hold; the result is a fresh map the window
+// owns.
+func WindowInitials(events []Event, declared, carried map[Addr]int64) map[Addr]int64 {
+	var out map[Addr]int64
+	for i := range events {
+		e := &events[i]
+		if !e.Op.IsAccess() && e.Op != OpAcquire && e.Op != OpRelease {
+			continue
+		}
+		if _, ok := out[e.Addr]; ok {
+			continue
+		}
+		v, ok := carried[e.Addr]
+		if !ok {
+			v = declared[e.Addr]
+		}
+		if v == 0 {
+			continue
+		}
+		if out == nil {
+			out = make(map[Addr]int64)
+		}
+		out[e.Addr] = v
+	}
+	return out
 }
 
 // Stats summarises a trace for reporting: the Table 1 metric columns.
